@@ -1,9 +1,11 @@
 """Numerical calculus for degenerate Kolmogorov-type diffusion operators.
 
-Explicit heat kernels, semigroups, Balakrishnan fractional powers, Besov
-seminorms and nonlocal perimeters, Poincare / Bakry-Emery / Li-Yau / Harnack
-inequality verification, and the Bessel extension operator, for generators
-A u = tr(Q D^2 u) + <B X, grad u>.
+For generators A u = tr(Q D^2 u) + <B X, grad u>: the Gramians of (Q, B) and a
+hypoellipticity check, the explicit transition kernel in two closed forms with
+its log-derivatives and the kernel-level Li-Yau identity, the semigroup P_t on
+a Gaussian-polynomial test family (closed form, Gauss-Hermite, Monte Carlo),
+the Poisson semigroup by subordination, kernel L^r norms and an
+ultracontractivity check.
 """
 
 from hypok.operator_core import (

@@ -2,8 +2,9 @@
 
 The operator is ``A u = tr(Q D^2 u) + <B X, grad u>`` with ``Q`` symmetric
 positive semidefinite and ``B`` an arbitrary real drift. Everything downstream
-(kernels, semigroups, fractional powers, Besov seminorms) is a function of two
-Gramians of the pair ``(Q, B)``::
+(the transition kernel, the semigroup and its Poisson subordinate, kernel
+norms and smoothing bounds) is a function of two Gramians of the pair
+``(Q, B)``::
 
     K(t) = (1/t) int_0^t e^{sB} Q e^{sB'} ds
     C(t) =       int_0^t e^{-sB} Q e^{-sB'} ds
@@ -11,11 +12,14 @@ Gramians of the pair ``(Q, B)``::
 linked by ``t K(t) = e^{tB} C(t) e^{tB'}`` and
 ``det(t K(t)) = e^{2 t tr B} det C(t)``. Both are obtained from a single block
 matrix exponential (no numerical time quadrature), so every consumer inherits
-expm-level accuracy.
+expm-level accuracy. ``OperatorSpec`` compares and hashes by the content of
+``(Q, B)``, which lets :func:`gramians` memoise one bundle per ``(spec, t)``.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -27,13 +31,16 @@ from scipy.linalg import expm
 TOL_SYM_REL = 1e-12
 TOL_PD_REL = 1e-10
 
+# Gramian bundles kept by gramians(); one bundle is a few kB at N <= 4.
+GRAMIAN_CACHE_SIZE = 256
+
 
 class DomainError(ValueError):
     """Raised when an argument leaves an operation's mathematical domain."""
 
 
 def _as_square(M, name: str) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
+    M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError(f"{name} must be a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -41,9 +48,19 @@ def _as_square(M, name: str) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
+def sym_sqrt(M) -> np.ndarray:
+    """Symmetric PSD square root (eigendecomposition; deterministic)."""
+    w, V = np.linalg.eigh(M)
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
+@dataclass(frozen=True, eq=False)
 class OperatorSpec:
     """The pair (Q, B) defining one generator.
+
+    ``Q`` and ``B`` are copied and stored read-only. Two specs are equal, and
+    hash alike, when their ``Q`` and ``B`` hold the same floats (``-0.0``
+    counts as ``0.0``); ``name`` is a label and takes no part.
 
     Parameters
     ----------
@@ -60,6 +77,7 @@ class OperatorSpec:
     name: str = "custom"
     dim: int = field(init=False)
     trace_B: float = field(init=False)
+    fingerprint: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         Q = _as_square(self.Q, "Q")
@@ -83,12 +101,21 @@ class OperatorSpec:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "trace_B", float(np.trace(B)))
+        # adding 0.0 turns -0.0 into 0.0, so equal matrices hash alike
+        content = np.stack([Q, B]) + 0.0
+        object.__setattr__(self, "fingerprint", hashlib.sha256(content.tobytes()).digest())
+
+    def __eq__(self, other):
+        if not isinstance(other, OperatorSpec):
+            return NotImplemented
+        return self.fingerprint == other.fingerprint
+
+    def __hash__(self):
+        return hash(self.fingerprint)
 
     def sqrt_Q(self) -> np.ndarray:
-        """Symmetric PSD square root of Q (eigendecomposition; deterministic)."""
-        w, V = np.linalg.eigh(self.Q)
-        w = np.clip(w, 0.0, None)
-        return (V * np.sqrt(w)) @ V.T
+        """Symmetric PSD square root of Q."""
+        return sym_sqrt(self.Q)
 
 
 def heat(dim: int = 1) -> OperatorSpec:
@@ -150,10 +177,11 @@ class GramianBundle:
 
 
 def _block_gramians(spec: OperatorSpec, ts: np.ndarray):
-    """Batched (exp_tB, C_t, tK_t) via the augmented block exponential.
+    """Batched (exp_tB, exp_minus_tB, C_t, tK_t) via the augmented block exponential.
 
-    With H = [[B, Q], [0, -B']], exp(tH) has blocks E11 = e^{tB} and
-    E12 = e^{tB} C(t); then C(t) = E11^{-1} E12 and t K(t) = E12 E11'.
+    With H = [[B, Q], [0, -B']], exp(tH) has blocks E11 = e^{tB},
+    E12 = e^{tB} C(t) and E22 = e^{-tB'}; then C(t) = E11^{-1} E12,
+    t K(t) = E12 E11' and e^{-tB} = E22'.
     """
     n = spec.dim
     H = np.zeros((2 * n, 2 * n))
@@ -163,18 +191,31 @@ def _block_gramians(spec: OperatorSpec, ts: np.ndarray):
     E = expm(H * ts[:, None, None])
     E11 = E[:, :n, :n]
     E12 = E[:, :n, n:]
+    E22T = np.swapaxes(E[:, n:, n:], -1, -2)
     C = np.linalg.solve(E11, E12)
     C = 0.5 * (C + np.swapaxes(C, -1, -2))
     tK = E12 @ np.swapaxes(E11, -1, -2)
     tK = 0.5 * (tK + np.swapaxes(tK, -1, -2))
-    return E11, C, tK
+    return E11, E22T, C, tK
 
 
 def gramians(spec: OperatorSpec, t: float) -> GramianBundle:
-    """Gramian bundle at time t > 0 (block-exponential construction)."""
+    """Gramian bundle at time t > 0 (block-exponential construction).
+
+    Bundles are memoised: the key is the exact pair ``(spec, float(t))``
+    (specs compare by content; times are never rounded, so times one ulp
+    apart get separate bundles), every returned array is read-only, and at
+    most ``GRAMIAN_CACHE_SIZE`` bundles are kept, least recently used first
+    out.
+    """
     if not (t > 0):
         raise DomainError(f"gramians: t must be > 0, got {t}")
-    E11, C, tK = _block_gramians(spec, np.array([float(t)]))
+    return _gramian_bundle(spec, float(t))
+
+
+@functools.lru_cache(maxsize=GRAMIAN_CACHE_SIZE)
+def _gramian_bundle(spec: OperatorSpec, t: float) -> GramianBundle:
+    E11, E22T, C, tK = _block_gramians(spec, np.array([t]))
     exp_tB, C_t, tK_t = E11[0], C[0], tK[0]
     K_t = tK_t / t
     sign, logdet_tK = np.linalg.slogdet(tK_t)
@@ -184,17 +225,22 @@ def gramians(spec: OperatorSpec, t: float) -> GramianBundle:
             "spec is not hypoelliptic (internal consistency)"
         )
     _, logdet_C = np.linalg.slogdet(C_t)
-    return GramianBundle(
-        t=float(t),
+    arrays = dict(
         exp_tB=exp_tB,
-        exp_minus_tB=np.linalg.inv(exp_tB),
+        exp_minus_tB=E22T[0],
         K_t=K_t,
         C_t=C_t,
+        inv_K_t=np.linalg.inv(K_t),
+        inv_C_t=np.linalg.inv(C_t),
+    )
+    for a in arrays.values():
+        a.setflags(write=False)
+    return GramianBundle(
+        t=t,
         det_tK=float(np.exp(logdet_tK)),
         logdet_tK=float(logdet_tK),
         logdet_C=float(logdet_C),
-        inv_K_t=np.linalg.inv(K_t),
-        inv_C_t=np.linalg.inv(C_t),
+        **arrays,
     )
 
 
@@ -214,7 +260,7 @@ def gramian_profile(spec: OperatorSpec, ts) -> GramianProfile:
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(ts <= 0):
         raise DomainError("gramian_profile: all times must be > 0")
-    E11, C, tK = _block_gramians(spec, ts)
+    E11, _, C, tK = _block_gramians(spec, ts)
     sign, logdet = np.linalg.slogdet(tK)
     if np.any(sign <= 0):
         raise DomainError("gramian_profile: t*K(t) not positive definite on the grid")
@@ -241,7 +287,7 @@ def hypoellipticity_check(spec: OperatorSpec) -> HypoellipticityReport:
     symmetric PSD root of Q. Both verdicts are reported; they must agree.
     """
     n = spec.dim
-    _, _, tK = _block_gramians(spec, np.array([1.0]))
+    *_, tK = _block_gramians(spec, np.array([1.0]))
     K1 = tK[0]
     lam_min = float(np.linalg.eigvalsh(K1)[0])
     tol_pd = TOL_PD_REL * max(np.linalg.norm(K1, 2), 1e-300)
@@ -303,7 +349,3 @@ class KernelConstants:
     def for_dim(n: int) -> "KernelConstants":
         g = math.gamma(n / 2 + 1)
         return KernelConstants(dim=n, c_N=1.0 / (4 ** (n / 2) * g), omega_N=math.pi ** (n / 2) / g)
-
-
-def unit_ball_volume(n: int) -> float:
-    return math.pi ** (n / 2) / math.gamma(n / 2 + 1)

@@ -34,6 +34,7 @@ from .operator_core import (
     OperatorSpec,
     gramians,
     heat,
+    sym_sqrt,
 )
 from .testfuncs import (
     CompactBump,
@@ -130,11 +131,6 @@ def _gh_grid(dim, order):
     return u, w
 
 
-def _sym_sqrt(M):
-    vals, vecs = np.linalg.eigh(M)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
 def _check_time(t):
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
@@ -145,7 +141,7 @@ def _check_time(t):
 def _whitened_points(spec, t, X, u):
     g = gramians(spec, t)
     mu = g.exp_tB @ np.asarray(X, dtype=float)
-    L = math.sqrt(4.0 * t) * _sym_sqrt(g.K_t)
+    L = math.sqrt(4.0 * t) * sym_sqrt(g.K_t)
     return mu + u @ L.T
 
 
@@ -180,7 +176,7 @@ def apply_semigroup_report(
 
     g = gramians(spec, t)
     mu = g.exp_tB @ X
-    A = math.sqrt(2.0 * t) * _sym_sqrt(g.K_t)
+    A = math.sqrt(2.0 * t) * sym_sqrt(g.K_t)
     per = max(quad.mc_samples // MC_REPLICATES, 512)
     means = np.empty(MC_REPLICATES)
     for i in range(MC_REPLICATES):
@@ -381,10 +377,12 @@ def _norm_radius(f: TestFunction) -> float:
 def _pushed_geometry(spec, f: TestFunction, t):
     """Norm-box half-width and finest feature scale of P_t f (t=None: of f).
 
-    Each Gaussian term e^{-<S(w-c), w-c>} pushes forward to a Gaussian
-    with center e^{tB} c and covariance e^{tB} (2S)^{-1} e^{tB'} + 2tK(t),
-    so the box and the Gauss-Legendre resolution can be read off the
-    exact transported geometry instead of operator-norm bounds.
+    P_t f(X) = integral p(X, Y, t) f(Y) dY, and as a function of X the
+    kernel is Gaussian with center e^{-tB} Y and covariance 2 C(t). So each
+    Gaussian term e^{-<S(w-c), w-c>} of f becomes a Gaussian in X with
+    center e^{-tB} c and covariance e^{-tB} (2S)^{-1} e^{-tB'} + 2 C(t);
+    the box and the Gauss-Legendre resolution are read off this exact
+    geometry instead of operator-norm bounds.
     """
     if not f.is_schwartz:
         raise DomainError("norms are defined for Schwartz-class functions only")
@@ -393,8 +391,8 @@ def _pushed_geometry(spec, f: TestFunction, t):
         spread = np.zeros((spec.dim, spec.dim))
     else:
         g = gramians(spec, t)
-        push = g.exp_tB
-        spread = 2.0 * t * g.K_t
+        push = g.exp_minus_tB
+        spread = 2.0 * g.C_t
     radius = 0.0
     sigma_min = math.inf
     for term in f.terms:

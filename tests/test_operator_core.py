@@ -1,5 +1,7 @@
 """Gramian, exponential and hypoellipticity checks for the operator layer."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,9 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 
 from hypok.operator_core import (
+    GRAMIAN_CACHE_SIZE,
     DomainError,
+    _gramian_bundle,
     KernelConstants,
     OperatorSpec,
     gramian_profile,
@@ -121,6 +125,25 @@ class TestGramians:
             np.log(g.det_tK), 2 * t * spec.trace_B + g.logdet_C, rtol=1e-12, atol=1e-12
         )
 
+    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+    def test_exp_minus_tB_closed_forms(self, t):
+        g = gramians(kolmogorov(1), t)
+        assert_allclose(g.exp_minus_tB, [[1.0, 0.0], [-t, 1.0]], rtol=1e-14, atol=1e-14)
+        g = gramians(ornstein_uhlenbeck(2), t)
+        assert_allclose(g.exp_minus_tB, math.exp(t) * np.eye(2), rtol=1e-13)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([0.1, 1.0, 5.0]))
+    def test_exp_minus_tB_inverts_exp_tB(self, seed, t):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(3, 3))
+        B /= max(np.linalg.norm(B, 2), 1.0)
+        g = gramians(OperatorSpec(np.eye(3), B), t)
+        # each factor carries expm's relative error of some ulps; the
+        # product amplifies it by cond(e^{tB}) (worst seen: 3e-14 cond)
+        tol = 1e-13 * np.linalg.cond(g.exp_tB, 2)
+        assert np.linalg.norm(g.exp_minus_tB @ g.exp_tB - np.eye(3), 2) <= tol
+
     def test_profile_matches_pointwise(self):
         spec = kolmogorov(1)
         ts = np.array([0.05, 0.3, 2.0, 7.0])
@@ -217,6 +240,93 @@ class TestLogdetDerivativeIdentity:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             logdet_derivative_identity(heat(1), -0.5)
+
+
+class TestSpecValueSemantics:
+    def test_equal_specs_hash_alike(self):
+        assert kolmogorov(1) == kolmogorov(1)
+        assert hash(kolmogorov(1)) == hash(kolmogorov(1))
+
+    def test_name_is_not_content(self):
+        spec = kolmogorov(1)
+        assert OperatorSpec(spec.Q, spec.B, name="other") == spec
+
+    def test_negative_zero_is_zero(self):
+        assert OperatorSpec(np.eye(2), -np.zeros((2, 2))) == heat(2)
+        assert hash(OperatorSpec(np.eye(2), -np.zeros((2, 2)))) == hash(heat(2))
+
+    def test_different_content_differs(self):
+        assert kolmogorov(1) != heat(2)
+        assert heat(2) != ornstein_uhlenbeck(2)
+        assert heat(1) != heat(2)
+        assert OperatorSpec(2.0 * np.eye(2), np.zeros((2, 2))) != heat(2)
+        assert heat(2) != "heat"
+
+    def test_copies_caller_arrays(self):
+        Q = np.eye(2)
+        B = np.zeros((2, 2))
+        view = B[:, :]
+        spec = OperatorSpec(Q, B)
+        assert B.flags.writeable and Q.flags.writeable
+        view[0, 0] = 3.0
+        Q[1, 1] = 5.0
+        assert spec.B[0, 0] == 0.0 and spec.trace_B == 0.0
+        assert spec.Q[1, 1] == 1.0
+        assert spec == heat(2)
+        with pytest.raises(ValueError):
+            spec.B[0, 0] = 1.0
+
+
+class TestGramianMemo:
+    def setup_method(self):
+        _gramian_bundle.cache_clear()
+
+    def test_equal_specs_share_one_entry(self):
+        a = gramians(kolmogorov(1), 0.7)
+        b = gramians(kolmogorov(1), 0.7)
+        assert a is b
+        info = _gramian_bundle.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_distinct_keys_miss(self):
+        spec = kolmogorov(1)
+        t = 0.7
+        keys = [
+            (spec, t),
+            (spec, math.nextafter(t, 1.0)),  # one ulp apart: a separate key
+            (OperatorSpec(2.0 * spec.Q, spec.B), t),
+            (OperatorSpec(spec.Q, 2.0 * spec.B), t),
+        ]
+        bundles = [gramians(s, u) for s, u in keys]
+        info = _gramian_bundle.cache_info()
+        assert (info.hits, info.misses) == (0, len(keys))
+        assert len({id(g) for g in bundles}) == len(keys)
+        assert bundles[1].t == math.nextafter(t, 1.0)
+
+    def test_arrays_are_read_only(self):
+        g = gramians(ornstein_uhlenbeck(2), 1.3)
+        for name in ("exp_tB", "exp_minus_tB", "K_t", "C_t", "inv_K_t", "inv_C_t"):
+            with pytest.raises(ValueError):
+                getattr(g, name)[0, 0] = 1.0
+
+    def test_rebuilt_bundle_is_bit_identical(self):
+        spec = OperatorSpec(np.diag([1.0, 0.0, 0.0]), np.eye(3, k=-1))
+        cached = gramians(spec, 0.9)
+        _gramian_bundle.cache_clear()
+        fresh = gramians(spec, 0.9)
+        assert fresh is not cached
+        for name in ("exp_tB", "exp_minus_tB", "K_t", "C_t", "inv_K_t", "inv_C_t"):
+            assert np.array_equal(getattr(fresh, name), getattr(cached, name))
+        for name in ("t", "det_tK", "logdet_tK", "logdet_C"):
+            assert getattr(fresh, name) == getattr(cached, name)
+
+    def test_size_is_bounded(self):
+        spec = heat(1)
+        for i in range(GRAMIAN_CACHE_SIZE + 10):
+            gramians(spec, 1.0 + i)
+        info = _gramian_bundle.cache_info()
+        assert info.maxsize == GRAMIAN_CACHE_SIZE
+        assert info.currsize == GRAMIAN_CACHE_SIZE
 
 
 class TestSpecValidation:

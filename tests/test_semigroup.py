@@ -391,6 +391,17 @@ class TestUltracontractivity:
         result = ultracontractivity_check(spec, f, 1.0, np.inf, t)
         assert result.passed
 
+    @pytest.mark.parametrize("t", [2.0, 3.0])
+    def test_ou_lhs_matches_closed_form(self, t):
+        # P_t f(X) = (1+s)^{-1} exp(-e^{-2t}|X|^2 / (2(1+s))), s = 1 - e^{-2t},
+        # for f = exp(-|y|^2/2): a norm box placed by e^{tB} instead of
+        # e^{-tB} misses most of this mass
+        f = gaussian(np.zeros(2), np.eye(2) / 2.0)
+        s = 1.0 - math.exp(-2.0 * t)
+        exact = math.sqrt(math.pi * (1.0 + s) * math.exp(2.0 * t)) / (1.0 + s)
+        result = ultracontractivity_check(ornstein_uhlenbeck(2), f, 1.0, 2.0, t)
+        assert abs(result.lhs - exact) <= 1e-8 * exact
+
     def test_trace_flag(self):
         f = gaussian(np.zeros(2), np.eye(2))
         assert ultracontractivity_check(ornstein_uhlenbeck(2), f, 1.0, 2.0, 0.5).trace_b_negative

@@ -82,7 +82,7 @@ class KernelEval:
     form_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelLogDerivatives:
     """Closed-form grad_X log p and d/dt log p at one point."""
 

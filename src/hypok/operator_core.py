@@ -160,7 +160,7 @@ def matrix_exponential(M, t: float = 1.0) -> np.ndarray:
     return expm(M * t[..., None, None] if t.ndim else M * t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramianBundle:
     """All Gramian-derived quantities of one spec at one time."""
 
@@ -244,7 +244,7 @@ def _gramian_bundle(spec: OperatorSpec, t: float) -> GramianBundle:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramianProfile:
     """Gramian quantities stacked over a time grid (for time integrals)."""
 

@@ -12,21 +12,24 @@ to P_t with the time axis split at t = z^2 and mapped onto (0, 1] on
 each side, so both the flat short-time end and the algebraic long-time
 decay are analytic in the quadrature variable.
 
-Kernel L^r norms over the first kernel slot close in terms of the
-volume function, value = c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r}; the
-constant is calibrated once on the pure-diffusion preset at t = 1 and
-reused, and the ultracontractivity constant C(N, p, q) is likewise a
-calibration output, not an asserted value.
+Every tensor grid (Gauss-Hermite for P_t, Gauss-Legendre and uniform
+for the norms) is summed in C-order blocks of at most ``GRID_BLOCK``
+points, so no full grid is ever held in memory.
+
+Kernel L^r norms over the first kernel slot are Gaussian integrals in
+closed form, value = c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r} with
+c_{N,r} = [(4 pi)^{-N/2} omega_N]^{1-1/r} r^{-N/(2r)}.  The
+ultracontractivity constant C(N, p, q) is a calibration output, not an
+asserted value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
-from scipy import special
 
 from .operator_core import (
     DomainError,
@@ -51,6 +54,7 @@ __all__ = [
     "SemigroupValue",
     "UltracontractivityResult",
     "DEFAULT_QUAD",
+    "GRID_BLOCK",
     "MAX_TENSOR_DIM",
     "apply_semigroup",
     "apply_semigroup_report",
@@ -66,6 +70,8 @@ __all__ = [
 
 MAX_TENSOR_DIM = 4
 MC_REPLICATES = 8
+# points per block of a tensor grid; bounds the memory of every grid sum
+GRID_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,25 +116,69 @@ class UltracontractivityResult:
     tail_bound: float
 
 
+def _uniform(order):
+    """Equispaced nodes on [-1, 1] with unit weights (for maxima, not sums)."""
+    return np.linspace(-1.0, 1.0, order), np.ones(order)
+
+
 @lru_cache(maxsize=32)
-def _hermgauss(order):
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+def _rule(rule, order):
+    nodes, weights = rule(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
 @lru_cache(maxsize=32)
-def _gh_grid(dim, order):
-    nodes, weights = _hermgauss(order)
-    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-    u = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.ones(u.shape[0])
-    for axis in range(dim):
-        w = w * weights[np.searchsorted(nodes, u[:, axis])]
-    u.setflags(write=False)
+def _tail_grid(rule, order, dim):
+    """Coordinates (m, order^m) and weights of the last m axes of the grid.
+
+    m is the largest count of trailing axes, at most dim - 1, whose grid
+    fits in one block of GRID_BLOCK points.
+    """
+    nodes, weights = _rule(rule, order)
+    m = 0
+    while m < dim - 1 and order ** (m + 1) <= GRID_BLOCK:
+        m += 1
+    coords = nodes[np.indices((order,) * m).reshape(m, order**m)]
+    w = reduce(np.multiply.outer, [weights] * m, np.ones(())).ravel()
+    coords.setflags(write=False)
     w.setflags(write=False)
-    return u, w
+    return coords, w
+
+
+def _grid_blocks(rule, order, dim, scale=1.0):
+    """Yield the tensor grid of a 1-D rule on scale * [nodes]^dim in blocks.
+
+    Blocks follow C order (first axis slowest), hold at most GRID_BLOCK
+    points each and come with their product weights.  Each block is a
+    run of leading-axis positions crossed with the tail grid.  The
+    ``(M, dim)`` points are column-major, so elementwise work on them
+    runs along M rather than along the short coordinate axis.  Every
+    block is a read-only view of one buffer that the next block
+    overwrites; only the leading coordinates change between blocks.
+    """
+    nodes, weights = _rule(rule, order)
+    tail, tail_w = _tail_grid(rule, order, dim)
+    lead, size = dim - tail.shape[0], tail_w.size
+    if scale != 1.0:
+        nodes, weights = scale * nodes, scale * weights
+        tail, tail_w = scale * tail, scale ** tail.shape[0] * tail_w
+    n_lead = order**lead
+    step = min(max(GRID_BLOCK // size, 1), n_lead)
+    pts = np.empty((dim, step, size))
+    pts[lead:] = tail[:, None, :]
+    w = np.empty((step, size))
+    for start in range(0, n_lead, step):
+        run = np.arange(start, min(start + step, n_lead))
+        ix = np.stack(np.unravel_index(run, (order,) * lead))
+        k = run.size
+        pts[:lead, :k] = nodes[ix][:, :, None]
+        np.multiply.outer(np.prod(weights[ix], axis=0), tail_w, out=w[:k])
+        block, block_w = pts[:, :k].reshape(dim, -1).T, w[:k].ravel()
+        block.flags.writeable = False
+        block_w.flags.writeable = False
+        yield block, block_w
 
 
 def _check_time(t):
@@ -138,11 +188,20 @@ def _check_time(t):
     return t
 
 
-def _whitened_points(spec, t, X, u):
-    g = gramians(spec, t)
-    mu = g.exp_tB @ np.asarray(X, dtype=float)
-    L = math.sqrt(4.0 * t) * sym_sqrt(g.K_t)
-    return mu + u @ L.T
+def _gauss_hermite_mean(g, X, func, order):
+    """E[func(Y)] for Y ~ N(e^{tB} X, 2 t K(t)), block by block.
+
+    Whitening Y = e^{tB} X + sqrt(4t) K(t)^{1/2} u turns the transition
+    density into the weight e^{-|u|^2} / pi^{N/2}.
+    """
+    n = X.shape[0]
+    mu = g.exp_tB @ X
+    L = math.sqrt(4.0 * g.t) * sym_sqrt(g.K_t)
+    total = 0.0
+    for u, w in _grid_blocks(np.polynomial.hermite.hermgauss, order, n):
+        # transposed product: the points stay column-major like u
+        total = total + w @ func((L @ u.T + mu[:, None]).T)
+    return math.pi ** (-n / 2.0) * total
 
 
 def apply_semigroup_report(
@@ -169,9 +228,8 @@ def apply_semigroup_report(
             raise UnsupportedDegreeError(
                 "tensor quadrature is capped at N = %d" % MAX_TENSOR_DIM
             )
-        u, w = _gh_grid(spec.dim, quad.gh_order)
-        pts = _whitened_points(spec, t, X, u)
-        value = math.pi ** (-spec.dim / 2.0) * float(w @ f.value(pts))
+        g = gramians(spec, t)
+        value = float(_gauss_hermite_mean(g, X, f.value, quad.gh_order))
         return SemigroupValue(value=value, stderr=0.0, method="gauss-hermite")
 
     g = gramians(spec, t)
@@ -210,11 +268,9 @@ def semigroup_gradient(
         raise UnsupportedDegreeError(
             "tensor quadrature is capped at N = %d" % MAX_TENSOR_DIM
         )
-    u, w = _gh_grid(spec.dim, quad.gh_order)
-    pts = _whitened_points(spec, t, X, u)
-    avg = math.pi ** (-spec.dim / 2.0) * (w @ f.gradient(pts))
     g = gramians(spec, t)
-    return g.exp_tB.T @ avg
+    X = np.asarray(X, dtype=float)
+    return g.exp_tB.T @ _gauss_hermite_mean(g, X, f.gradient, quad.gh_order)
 
 
 def _poisson_profile(spec, f, ts, X, quad):
@@ -247,7 +303,7 @@ def apply_poisson(
         raise DomainError("z must be positive and finite")
     X = np.asarray(X, dtype=float)
     half = max(quad.time_nodes // 2, 40)
-    nodes, weights = _leggauss(half)
+    nodes, weights = _rule(np.polynomial.legendre.leggauss, half)
     sqrt_pi = math.sqrt(math.pi)
 
     # beyond t_cap every exponential mode of the drift has converged (or,
@@ -283,48 +339,27 @@ def apply_poisson(
     return head + tail + p_cap * math.erf(0.5 * v_min)
 
 
-def _lr_norm_raw(spec: OperatorSpec, Y, t, r, order) -> float:
-    """(integral over X of p(X, Y, t)^r)^{1/r} by whitened Gauss-Hermite.
+def lr_norm_constant(dim: int, r: float) -> float:
+    """c_{N,r} = [(4 pi)^{-N/2} omega_N]^{1-1/r} r^{-N/(2r)}.
 
-    In the drift-free variable xi = X - e^{-tB} Y the kernel is Gaussian
-    with covariance 2 C(t); whitening against that covariance leaves
-    e^{-(r-1)|u|^2} under the e^{-|u|^2} weight.
+    The kernel L^r norm is c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r}; on the
+    pure-diffusion preset at t = 1, where V(1) = omega_N and tr B = 0,
+    it is c_{N,r} omega_N^{-(1-1/r)}.
     """
-    g = gramians(spec, t)
-    n = spec.dim
-    log_amp = (
-        -0.5 * n * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * g.logdet_C
+    r = float(r)
+    omega = KernelConstants.for_dim(dim).omega_N
+    return ((4.0 * math.pi) ** (-dim / 2.0) * omega) ** (1.0 - 1.0 / r) * r ** (
+        -dim / (2.0 * r)
     )
-    u, w = _gh_grid(n, order)
-    quad_sum = float(w @ np.exp(-(r - 1.0) * np.sum(u * u, axis=1)))
-    log_integral = r * log_amp + n * math.log(2.0) + 0.5 * g.logdet_C + math.log(
-        quad_sum
-    )
-    return math.exp(log_integral / r)
 
 
-_CNR_CACHE = {}
+def kernel_lr_norm(spec: OperatorSpec, Y, t, r) -> float:
+    """L^r norm of p(., Y, t) over the first slot, in closed form.
 
-
-def lr_norm_constant(dim: int, r: float, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Calibration constant c_{N,r}, measured on the pure-diffusion preset at t=1."""
-    key = (dim, float(r), quad.gh_order)
-    if key not in _CNR_CACHE:
-        spec = heat(dim)
-        raw = _lr_norm_raw(spec, np.zeros(dim), 1.0, float(r), quad.gh_order)
-        # V(1) for the pure diffusion is omega_N and tr B = 0
-        v1 = KernelConstants.for_dim(dim).omega_N
-        _CNR_CACHE[key] = raw * v1 ** (1.0 - 1.0 / float(r))
-    return _CNR_CACHE[key]
-
-
-def kernel_lr_norm(
-    spec: OperatorSpec, Y, t, r, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
-    """L^r norm of p(., Y, t) over the first slot.
-
-    Independent of Y by translation covariance; closes as
-    c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r} with the calibrated c_{N,r}.
+    In the drift-free variable xi = X - e^{-tB} Y the kernel is
+    (4 pi)^{-N/2} e^{-t tr B} det C(t)^{-1/2} e^{-<C(t)^{-1} xi, xi>/4};
+    substituting xi = 2 C(t)^{1/2} u leaves the integral of e^{-r|u|^2},
+    which is (pi/r)^{N/2}.  Independent of Y by translation covariance.
     """
     t = _check_time(t)
     r = float(r)
@@ -333,31 +368,12 @@ def kernel_lr_norm(
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (spec.dim,):
         raise ValueError("Y must be a point in R^%d" % spec.dim)
-    if spec.dim > MAX_TENSOR_DIM:
-        raise UnsupportedDegreeError(
-            "tensor quadrature is capped at N = %d" % MAX_TENSOR_DIM
-        )
-    return _lr_norm_raw(spec, Y, t, r, quad.gh_order)
-
-
-@lru_cache(maxsize=32)
-def _leggauss(order):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-def _box_grid(dim, radius, order):
-    nodes, weights = _leggauss(order)
-    xs = radius * nodes
-    ws = radius * weights
-    grids = np.meshgrid(*([xs] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.ones(pts.shape[0])
-    for axis in range(dim):
-        w = w * ws[np.searchsorted(xs, pts[:, axis])]
-    return pts, w
+    g = gramians(spec, t)
+    n = spec.dim
+    log_amp = -0.5 * n * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * g.logdet_C
+    # log of the integral of the kernel's Gaussian factor to the power r
+    log_mass = n * math.log(2.0) + 0.5 * g.logdet_C + 0.5 * n * math.log(math.pi / r)
+    return math.exp(log_amp + log_mass / r)
 
 
 def _norm_radius(f: TestFunction) -> float:
@@ -419,25 +435,36 @@ def lp_norm(
 ) -> float:
     """(integral over the box [-radius, radius]^N of |f|^p)^{1/p}.
 
-    f is a callable on batched points; tensor Gauss-Legendre.
+    Tensor Gauss-Legendre of the given order per axis.  ``f`` is called
+    on successive blocks of at most ``GRID_BLOCK`` points, each an
+    ``(M, N)`` array, and must return the ``M`` values row by row.  A
+    block is read-only and its memory is reused by the next one, so
+    ``f`` must copy any block it keeps.
     """
     if p < 1.0 or not math.isfinite(p):
         raise DomainError("p must satisfy 1 <= p < inf")
     if dim > 3:
         raise UnsupportedDegreeError("norm grids are capped at N = 3")
-    pts, w = _box_grid(dim, radius, order)
-    vals = np.abs(np.asarray(f(pts)))
-    return float(np.power(w @ np.power(vals, p), 1.0 / p))
+    total = 0.0
+    for pts, w in _grid_blocks(np.polynomial.legendre.leggauss, order, dim, radius):
+        total = total + w @ np.abs(np.asarray(f(pts))) ** p
+    return float(np.power(total, 1.0 / p))
 
 
 def sup_norm(f, dim: int, radius: float, order: int = 801) -> float:
-    """Sup of |f| over a uniform grid on [-radius, radius]^N."""
+    """Sup of |f| over a uniform grid on [-radius, radius]^N.
+
+    ``f`` is called on successive blocks of at most ``GRID_BLOCK``
+    points, each an ``(M, N)`` array, and must return the ``M`` values
+    row by row.  A block is read-only and its memory is reused by the
+    next one, so ``f`` must copy any block it keeps.
+    """
     if dim > 2:
         order = 101
-    xs = np.linspace(-radius, radius, order)
-    grids = np.meshgrid(*([xs] * dim), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    return float(np.max(np.abs(np.asarray(f(pts)))))
+    return max(
+        float(np.max(np.abs(np.asarray(f(pts)))))
+        for pts, _ in _grid_blocks(_uniform, order, dim, radius)
+    )
 
 
 def _semigroup_callable(spec, f, t):
@@ -457,10 +484,10 @@ _UC_TIMES = (0.2, 1.0, 5.0)
 
 def _uc_sides(spec, f, p, q, t):
     """lhs = ||P_t f||_q and the constant-free envelope V^{...} e^{...} ||f||_p."""
+    # |f|^p is sqrt(p) times narrower than f, and |P_t f|^q than P_t f
     rad_f, sig_f = _pushed_geometry(spec, f, None)
-    norm_f = lp_norm(
-        f.value, p, spec.dim, rad_f, order=_adaptive_order(rad_f, sig_f, spec.dim)
-    )
+    order_f = _adaptive_order(rad_f, sig_f / math.sqrt(p), spec.dim)
+    norm_f = lp_norm(f.value, p, spec.dim, rad_f, order=order_f)
     g = gramians(spec, t)
     const = KernelConstants.for_dim(spec.dim)
     vol = const.omega_N * math.exp(0.5 * g.logdet_tK)
@@ -470,9 +497,8 @@ def _uc_sides(spec, f, p, q, t):
         lhs = sup_norm(func, spec.dim, rad_p)
         inv_q = 0.0
     else:
-        lhs = lp_norm(
-            func, q, spec.dim, rad_p, order=_adaptive_order(rad_p, sig_p, spec.dim)
-        )
+        order_p = _adaptive_order(rad_p, sig_p / math.sqrt(q), spec.dim)
+        lhs = lp_norm(func, q, spec.dim, rad_p, order=order_p)
         inv_q = 1.0 / q
     envelope = vol ** -(1.0 / p - inv_q) * math.exp(-t * spec.trace_B * inv_q) * norm_f
     return lhs, envelope

@@ -18,7 +18,7 @@ term decays (all shapes positive definite).
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +47,10 @@ __all__ = [
 MAX_EVAL_DEGREE = 4
 MAX_ORACLE_DEGREE = 2
 
+# factored convolutions kept by exact_semigroup_oracle; one is a few
+# small matrices per term
+CONVOLUTION_CACHE_SIZE = 64
+
 
 class UnsupportedDegreeError(ValueError):
     """Monomial degree exceeds what the requested operation supports."""
@@ -61,7 +65,7 @@ def _as_vector(x, dim=None):
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianTerm:
     """One summand coeff * w^monomial * exp(-<S w, w>), w = Y - center."""
 
@@ -105,7 +109,7 @@ class GaussianTerm:
         return sum(self.monomial)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestFunction:
     """Finite sum of Gaussian-polynomial terms on R^N.
 
@@ -164,9 +168,10 @@ class TestFunction:
         out = np.zeros(Y.shape[:-1])
         for term in self.terms:
             w = Y - term.center
-            mono = _monomial(w, term.monomial)
             expo = np.exp(-_quad_form(term.shape, w))
-            out = out + term.coeff * mono * expo
+            if term.degree:
+                expo = expo * _monomial(w, term.monomial)
+            out = out + term.coeff * expo
         return out if out.ndim else float(out)
 
     def gradient(self, Y):
@@ -176,7 +181,7 @@ class TestFunction:
         for term in self.terms:
             w = Y - term.center
             expo = np.exp(-_quad_form(term.shape, w))
-            u = -2.0 * (w @ term.shape.T)
+            u = -2.0 * _matmul(w, term.shape)
             poly = _monomial(w, term.monomial)
             dpoly = _monomial_grad(w, term.monomial)
             out = out + term.coeff * (dpoly + poly[..., None] * u) * expo[..., None]
@@ -267,8 +272,17 @@ def _monomial_hess(w, monomial):
     return out
 
 
+def _matmul(w, M):
+    """w @ M for points w of shape (..., N), in w's memory layout.
+
+    Column-major blocks of points stay column-major, which keeps the
+    elementwise work that follows running along the long axis.
+    """
+    return np.matmul(w, M, out=np.empty_like(w))
+
+
 def _quad_form(S, w):
-    return np.einsum("...i,ij,...j->...", w, S, w)
+    return np.einsum("...i,...i->...", _matmul(w, S), w)
 
 
 def gaussian(center, shape, coeff=1.0, monomial=None):
@@ -318,53 +332,69 @@ def generator_apply(spec: OperatorSpec, f: TestFunction, Y):
     return out if out.ndim else float(out)
 
 
-def _oracle_batch(exp_tB, Sigma, f, X):
-    """Closed Gaussian convolution at one t for a batch of points.
+def _convolution_factors(f, Sigma):
+    """Per-term factors of the Gaussian convolution of f against N(mean, Sigma).
 
-    Sigma is the transition covariance 2 t K(t); the means e^{tB} X share
-    every per-term factorisation, so X has shape (M, N) and the result (M,).
+    Sigma is a transition covariance 2 t K(t) of shape (..., N, N), one
+    per time.  Completing the square without Sigma^{-1}: with
+    G = I + 2 Sigma S the convolution of a term at mean offset m is
+
+        det(G)^{-1/2} exp(-<A m, m>) E[W^kappa],  W ~ N(G^{-1} m, G^{-1} Sigma),
+
+    where A = S G^{-1} is symmetric.  Sigma degenerates like t near t = 0,
+    so the naive Sigma^{-1} + 2S route cancels catastrophically while this
+    one stays exact.  Each entry is (term, A, G^{-1}, log det(G) / 2,
+    G^{-1} Sigma); the last two carry a trailing axis that broadcasts over
+    a batch of means.
     """
-    mu = X @ exp_tB.T
-    total = np.zeros(X.shape[0])
-    n = f.dim
-    eye = np.eye(n)
+    eye = np.eye(f.dim)
+    factors = []
     for term in f.terms:
         if term.degree > MAX_ORACLE_DEGREE:
             raise UnsupportedDegreeError(
                 "closed-form convolution supports monomial degree <= %d"
                 % MAX_ORACLE_DEGREE
             )
-        m = mu - term.center
-        # completion of squares written without Sigma^{-1}: with
-        # G = I + 2 Sigma S the convolution is
-        #   det(G)^{-1/2} exp(-<S G^{-1} m, m>) E[W^kappa],
-        #   W ~ N(G^{-1} m, G^{-1} Sigma).
-        # Sigma degenerates like t near t = 0, so the naive A = Sigma^{-1}
-        # + 2S route cancels catastrophically while this one stays exact.
         G = eye + 2.0 * Sigma @ term.shape
         sign, logdet = np.linalg.slogdet(G)
-        if sign <= 0:
+        if np.any(sign <= 0):
             raise DomainError("convolution covariance lost positivity")
-        nu = np.linalg.solve(G, m.T).T
-        cov = np.linalg.solve(G, Sigma)
-        cov = 0.5 * (cov + cov.T)
-        # <S G^{-1} m, m> >= 0, so the exponential never overflows
-        expo = -np.einsum("mi,mi->m", m @ term.shape, nu)
-        amp = np.exp(expo - 0.5 * logdet)
-        total += term.coeff * amp * _gaussian_moment(term.monomial, nu, cov, n)
+        Ginv = np.linalg.inv(G)
+        A = _sym(term.shape @ Ginv)
+        cov = _sym(Ginv @ Sigma)[..., None]
+        factors.append((term, A, Ginv, np.asarray(0.5 * logdet)[..., None], cov))
+    return factors
+
+
+def _sym(M):
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def _convolve(factors, mu):
+    """Sum of the factored terms at means mu of shape (..., M, N); (..., M)."""
+    total = 0.0
+    for term, A, Ginv, half_logdet, cov in factors:
+        m = mu - term.center
+        # <A m, m> >= 0, so the exponential never overflows
+        amp = np.exp(-_quad_form(A, m) - half_logdet)
+        idx = [i for i, k in enumerate(term.monomial) for _ in range(k)]
+        if not idx:
+            moment = 1.0
+        else:
+            nu = _matmul(m, np.swapaxes(Ginv, -1, -2))
+            if len(idx) == 1:
+                moment = nu[..., idx[0]]
+            else:
+                i, j = idx
+                moment = nu[..., i] * nu[..., j] + cov[..., i, j, :]
+        total = total + term.coeff * amp * moment
     return total
 
 
-def _gaussian_moment(monomial, nu, cov, n):
-    """E[W^monomial] for rows of nu as means of N(nu, cov), degree <= 2."""
-    deg = sum(monomial)
-    if deg == 0:
-        return 1.0
-    idx = [i for i in range(n) for _ in range(monomial[i])]
-    if deg == 1:
-        return nu[:, idx[0]]
-    i, j = idx
-    return nu[:, i] * nu[:, j] + cov[i, j]
+@functools.lru_cache(maxsize=CONVOLUTION_CACHE_SIZE)
+def _oracle_factors(spec, f, t):
+    g = gramians(spec, t)
+    return g.exp_tB, _convolution_factors(f, 2.0 * t * g.K_t)
 
 
 def exact_semigroup_oracle(spec: OperatorSpec, f: TestFunction, t, X):
@@ -378,25 +408,29 @@ def exact_semigroup_oracle(spec: OperatorSpec, f: TestFunction, t, X):
         Monomial degree at most 2 in every term.
     t : positive float
     X : array of shape (N,) or (..., N)
-        Batched evaluation points share one Gramian factorisation.
+        Batched evaluation points share one factorisation.
 
     Returns
     -------
     float or ndarray
         P_t f evaluated at X, the integral of f against the Gaussian
         transition density with mean e^{tB} X and covariance 2 t K(t).
+
+    Notes
+    -----
+    The factorisation is memoised per ``(spec, f, t)`` (test functions
+    compare by identity), so evaluating one ``P_t f`` block by block
+    factors it once.
     """
     if f.dim != spec.dim:
         raise ValueError("dimension mismatch between spec and f")
-    g = gramians(spec, t)
-    Sigma = 2.0 * t * g.K_t
     X = np.asarray(X, dtype=float)
-    if X.shape == (spec.dim,):
-        return float(_oracle_batch(g.exp_tB, Sigma, f, X[None, :])[0])
     if X.shape[-1:] != (spec.dim,):
         raise ValueError("points must have trailing dimension %d" % spec.dim)
+    exp_tB, factors = _oracle_factors(spec, f, float(t))
     flat = X.reshape(-1, spec.dim)
-    return _oracle_batch(g.exp_tB, Sigma, f, flat).reshape(X.shape[:-1])
+    vals = _convolve(factors, _matmul(flat, exp_tB.T))
+    return float(vals[0]) if X.ndim == 1 else vals.reshape(X.shape[:-1])
 
 
 def exact_semigroup_profile(spec: OperatorSpec, f: TestFunction, ts, X):
@@ -410,43 +444,13 @@ def exact_semigroup_profile(spec: OperatorSpec, f: TestFunction, ts, X):
         raise ValueError("dimension mismatch between spec and f")
     X = _as_vector(X, spec.dim)
     prof: GramianProfile = gramian_profile(spec, ts)
-    n = spec.dim
     # tK_t already carries the factor t; the covariance is 2 tK(t)
-    Sigma = 2.0 * prof.tK_t
-    mu = np.einsum("tij,j->ti", prof.exp_tB, X)
-    eye = np.eye(n)
-    total = np.zeros(prof.ts.shape[0])
-    for term in f.terms:
-        if term.degree > MAX_ORACLE_DEGREE:
-            raise UnsupportedDegreeError(
-                "closed-form convolution supports monomial degree <= %d"
-                % MAX_ORACLE_DEGREE
-            )
-        m = mu - term.center
-        G = eye + 2.0 * Sigma @ term.shape
-        sign, logdet = np.linalg.slogdet(G)
-        if np.any(sign <= 0):
-            raise DomainError("convolution covariance lost positivity")
-        nu = np.linalg.solve(G, m[..., None])[..., 0]
-        cov = np.linalg.solve(G, Sigma)
-        cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-        expo = -np.einsum("ti,ti->t", m @ term.shape, nu)
-        amp = np.exp(expo - 0.5 * logdet)
-        deg = term.degree
-        if deg == 0:
-            moment = 1.0
-        else:
-            idx = [i for i in range(n) for _ in range(term.monomial[i])]
-            if deg == 1:
-                moment = nu[:, idx[0]]
-            else:
-                i, j = idx
-                moment = nu[:, i] * nu[:, j] + cov[:, i, j]
-        total += term.coeff * amp * moment
-    return total
+    factors = _convolution_factors(f, 2.0 * prof.tK_t)
+    mu = prof.exp_tB @ X
+    return _convolve(factors, mu[:, None, :])[:, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompactBump:
     """Smooth compactly supported cutoff, identically 1 inside.
 
@@ -496,7 +500,7 @@ class CompactBump:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModulatedBump:
     """Product bump * f with the exact product-rule gradient.
 

@@ -347,3 +347,35 @@ class TestSpecValidation:
             kc = KernelConstants.for_dim(n)
             # c_N / omega_N = (4 pi)^{-N/2}: ties the kernel prefactor to the volume
             assert_allclose(kc.c_N / kc.omega_N, (4 * np.pi) ** (-n / 2), rtol=1e-14)
+
+
+def _array_records():
+    from hypok.kernel import kernel_log_derivatives
+    from hypok.testfuncs import CompactBump, ModulatedBump, gaussian
+
+    spec = kolmogorov(1)
+    bump = CompactBump(np.zeros(2), 1.0, 2.0)
+    return {
+        "GramianBundle": lambda: _gramian_bundle.__wrapped__(spec, 0.5),
+        "GramianProfile": lambda: gramian_profile(spec, [0.5, 1.0]),
+        "KernelLogDerivatives": lambda: kernel_log_derivatives(
+            spec, np.zeros(2), np.ones(2), 0.5
+        ),
+        "GaussianTerm": lambda: gaussian(np.zeros(2), np.eye(2)).terms[0],
+        "TestFunction": lambda: gaussian(np.zeros(2), np.eye(2)),
+        "CompactBump": lambda: CompactBump(np.zeros(2), 1.0, 2.0),
+        "ModulatedBump": lambda: ModulatedBump(bump, gaussian(np.zeros(2), np.eye(2))),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_array_records()))
+def test_array_records_compare_by_identity(kind):
+    # records holding arrays compare and hash by identity instead of
+    # raising on the elementwise array comparison
+    make = _array_records()[kind]
+    a, b = make(), make()
+    assert (a == b) is False
+    assert (a == a) is True
+    assert (a != b) is True
+    assert isinstance(hash(a), int)
+    assert len({a, b, a}) == 2

@@ -19,6 +19,7 @@ from hypok.operator_core import (
 )
 from hypok.semigroup import (
     DEFAULT_QUAD,
+    GRID_BLOCK,
     QuadratureSpec,
     apply_poisson,
     apply_semigroup,
@@ -42,6 +43,7 @@ from hypok.testfuncs import (
     gaussian,
     linear,
 )
+from test_testfuncs import gh_semigroup
 
 PRESETS = lambda: (heat(1), heat(2), kolmogorov(1), ornstein_uhlenbeck(2))
 
@@ -189,6 +191,18 @@ class TestApplySemigroup:
         f = gaussian(np.zeros(5), np.eye(5))
         with pytest.raises(UnsupportedDegreeError):
             apply_semigroup(spec, f, 1.0, np.zeros(5))
+
+    def test_four_dims_match_full_grid_route(self):
+        # order 20 at N = 4 sums 160000 nodes in three blocks (8 + 8 + 4
+        # leading slabs of 8000), against one full tensor grid
+        rng = np.random.default_rng(41)
+        spec = kolmogorov(2)
+        quad = QuadratureSpec(gh_order=20)
+        f = random_schwartz(rng, 4, max_degree=4, widest=1.2)
+        X = rng.uniform(-1.0, 1.0, size=4)
+        got = apply_semigroup(spec, f, 0.4, X, quad=quad)
+        want = gh_semigroup(spec, f, 0.4, X, order=20)
+        assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
 
     def test_rejects_plain_callable(self):
         with pytest.raises(TypeError):
@@ -345,6 +359,27 @@ class TestKernelLrNorm:
                 ) * r ** (-dim / (2.0 * r))
                 assert lr_norm_constant(dim, r) == pytest.approx(want, rel=1e-10)
 
+    def test_constant_links_norm_and_volume(self):
+        # the closed form reads det C(t); the scaling law reads V(t) from
+        # det tK(t) = e^{2 t tr B} det C(t)
+        for spec in PRESETS():
+            const = KernelConstants.for_dim(spec.dim)
+            for t, r in ((0.3, 1.5), (2.0, 3.0)):
+                g = gramians(spec, t)
+                vol = const.omega_N * math.exp(0.5 * g.logdet_tK)
+                want = (
+                    lr_norm_constant(spec.dim, r)
+                    * vol ** -(1.0 - 1.0 / r)
+                    * math.exp(-t * spec.trace_B / r)
+                )
+                got = kernel_lr_norm(spec, np.zeros(spec.dim), t, r)
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_heat_r_two_beyond_tensor_cap(self):
+        spec = heat(5)
+        got = kernel_lr_norm(spec, np.zeros(5), 0.6, 2.0)
+        assert got == pytest.approx((8.0 * math.pi * 0.6) ** (-5 / 4.0), rel=1e-12)
+
     def test_independent_of_y(self):
         spec = kolmogorov(1)
         a = kernel_lr_norm(spec, np.zeros(2), 0.8, 2.5)
@@ -402,6 +437,19 @@ class TestUltracontractivity:
         result = ultracontractivity_check(ornstein_uhlenbeck(2), f, 1.0, 2.0, t)
         assert abs(result.lhs - exact) <= 1e-8 * exact
 
+    def test_lq_grid_resolves_the_qth_power(self):
+        # |P_t f|^4 is half as wide as P_t f; an order read off P_t f alone
+        # left this lhs 1.75e-8 off, above its own 1e-8 allowance
+        t = 1.6
+        S = np.array([[0.84, -0.63], [-0.63, 1.66]])
+        Sigma = 2.0 * np.array([[t, t * t / 2.0], [t * t / 2.0, t**3 / 3.0]])
+        M = np.linalg.inv(np.linalg.inv(S) + 2.0 * Sigma)
+        exact = (math.pi / (4.0 * math.sqrt(np.linalg.det(M)))) ** 0.25 / math.sqrt(
+            np.linalg.det(np.eye(2) + 2.0 * Sigma @ S)
+        )
+        result = ultracontractivity_check(kolmogorov(1), gaussian([0, 0], S), 2.0, 4.0, t)
+        assert abs(result.lhs - exact) <= 1e-8 * exact
+
     def test_trace_flag(self):
         f = gaussian(np.zeros(2), np.eye(2))
         assert ultracontractivity_check(ornstein_uhlenbeck(2), f, 1.0, 2.0, 0.5).trace_b_negative
@@ -433,6 +481,50 @@ class TestNormHelpers:
     def test_lp_norm_rejects_bad_p(self):
         with pytest.raises(DomainError):
             lp_norm(lambda pts: np.ones(pts.shape[0]), 0.5, 1, 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_lp_norm_block_sum_matches_closed_form(self, dim, p):
+        # 97^2 nodes per slab: 6 slabs to a block, so the last block is
+        # partial; integral of exp(-p <S y, y>) is (pi/p)^{N/2} det S^{-1/2}
+        S = np.diag([0.7, 1.3, 1.0][:dim])
+        f = gaussian(np.zeros(dim), S)
+        want = ((math.pi / p) ** (dim / 2.0) / math.sqrt(np.linalg.det(S))) ** (1.0 / p)
+        assert lp_norm(f.value, p, dim, 7.0, order=97) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sup_norm_block_max_matches_closed_form(self, dim):
+        # the grid maximum of exp(-|y - c|^2) is exp(-sum_i dist(c_i, xs)^2)
+        # with xs the 1-D grid; c sits in the last block
+        radius = 4.0
+        order = 801 if dim <= 2 else 101
+        xs = np.linspace(-radius, radius, order)
+        c = np.array([3.71, 3.52, 3.93][:dim])
+        f = gaussian(c, np.eye(dim))
+        gap = np.min((xs[:, None] - c) ** 2, axis=0).sum()
+        assert sup_norm(f.value, dim, radius) == pytest.approx(math.exp(-gap), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "norm, dim, order", [("lp", 3, 97), ("lp", 1, 97), ("sup", 2, 801)]
+    )
+    def test_grid_blocks_cover_the_grid_once(self, norm, dim, order):
+        seen = []
+
+        def record(pts):
+            assert pts.shape[0] <= GRID_BLOCK and pts.shape[1] == dim
+            seen.append(np.array(pts))
+            return np.ones(pts.shape[0])
+
+        if norm == "lp":
+            lp_norm(record, 2.0, dim, 1.0, order=order)
+        else:
+            sup_norm(record, dim, 1.0, order=order)
+        assert sum(block.shape[0] for block in seen) == order**dim
+        # C order with ascending nodes: every point follows its predecessor
+        # lexicographically, so none repeats
+        steps = np.diff(np.concatenate(seen), axis=0)
+        first = np.argmax(steps != 0.0, axis=1)
+        assert np.all(steps[np.arange(steps.shape[0]), first] > 0.0)
 
 
 class TestInvariants:

@@ -28,7 +28,7 @@ def _sym_sqrt(M):
 
 
 def gh_semigroup(spec, f, t, X, order=60):
-    """Independent Gauss-Hermite route for P_t f(X), tensor grid, N <= 3.
+    """Independent Gauss-Hermite route for P_t f(X) on one full tensor grid.
 
     Whitening Y = e^{tB} X + sqrt(4t) K(t)^{1/2} u turns the transition
     density into the weight e^{-|u|^2} / pi^{N/2}.

@@ -7,10 +7,12 @@ P_t acts on the Gaussian-polynomial family through the whitening
 evaluated by tensor Gauss-Hermite quadrature, which is spectrally
 accurate because the transition density is exactly Gaussian.  Compactly
 supported profiles are handled by a counter-based Monte Carlo fallback
-that reports its standard error.  The Poisson semigroup is subordinated
-to P_t with the time axis split at t = z^2 and mapped onto (0, 1] on
-each side, so both the flat short-time end and the algebraic long-time
-decay are analytic in the quadrature variable.
+that reports its standard error; its draws are generated once per
+(N, sample count, seed) and shared by every call, so the values along
+a Poisson time grid use common random numbers.  The Poisson semigroup
+is subordinated to P_t with the time axis split at t = z^2 and mapped
+onto (0, 1] on each side, so both the flat short-time end and the
+algebraic long-time decay are analytic in the quadrature variable.
 
 Every tensor grid (Gauss-Hermite for P_t, Gauss-Legendre and uniform
 for the norms) is summed in C-order blocks of at most ``GRID_BLOCK``
@@ -70,13 +72,23 @@ __all__ = [
 
 MAX_TENSOR_DIM = 4
 MC_REPLICATES = 8
+# Monte Carlo draw sets kept by _mc_draws; at the default mc_samples one
+# holds 2^16 * N floats (1 MB for N = 2)
+MC_DRAWS_CACHE_SIZE = 8
 # points per block of a tensor grid; bounds the memory of every grid sum
 GRID_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature and sampling resolution shared across checks."""
+    """Quadrature and sampling resolution shared across checks.
+
+    Monte Carlo draws ``MC_REPLICATES * max(mc_samples // MC_REPLICATES,
+    512)`` standard normal points, so ``mc_samples=1024`` draws 4096.
+    The draw set is built once per ``(dim, mc_samples, rng_seed)`` and
+    shared by every call, whatever its time, point or function: values
+    at different times use common random numbers.
+    """
 
     gh_order: int = 40
     time_nodes: int = 200
@@ -181,6 +193,27 @@ def _grid_blocks(rule, order, dim, scale=1.0):
         yield block, block_w
 
 
+@lru_cache(maxsize=MC_DRAWS_CACHE_SIZE)
+def _mc_draws(dim, mc_samples, rng_seed):
+    """Read-only standard normal draws of shape (MC_REPLICATES, dim, per).
+
+    Replicate i is the stream of Philox(key=[rng_seed, i]) drawn as
+    (per, dim) and stored transposed, so each coordinate is a row and
+    elementwise work on the points runs along the long axis.
+    """
+    per = max(mc_samples // MC_REPLICATES, 512)
+    draws = np.stack(
+        [
+            np.random.Generator(np.random.Philox(key=[rng_seed, i]))
+            .standard_normal(size=(per, dim))
+            .T
+            for i in range(MC_REPLICATES)
+        ]
+    )
+    draws.setflags(write=False)
+    return draws
+
+
 def _check_time(t):
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
@@ -210,9 +243,9 @@ def apply_semigroup_report(
     """P_t f(X) with method and sampling-error bookkeeping.
 
     Gaussian-polynomial functions go through tensor Gauss-Hermite after
-    whitening; compact profiles fall back to replicated Monte Carlo
-    driven by a counter-based generator, with the replicate spread
-    reported as a standard error.
+    whitening; compact profiles fall back to replicated Monte Carlo on
+    the shared draw set of ``quad`` (see :class:`QuadratureSpec`), with
+    the replicate spread reported as a standard error.
     """
     t = _check_time(t)
     if not isinstance(f, (TestFunction, CompactBump, ModulatedBump)):
@@ -235,12 +268,13 @@ def apply_semigroup_report(
     g = gramians(spec, t)
     mu = g.exp_tB @ X
     A = math.sqrt(2.0 * t) * sym_sqrt(g.K_t)
-    per = max(quad.mc_samples // MC_REPLICATES, 512)
+    draws = _mc_draws(spec.dim, quad.mc_samples, quad.rng_seed)
     means = np.empty(MC_REPLICATES)
     for i in range(MC_REPLICATES):
-        rng = np.random.Generator(np.random.Philox(key=[quad.rng_seed, i]))
-        draws = rng.standard_normal(size=(per, spec.dim))
-        means[i] = float(np.mean(f.value(mu + draws @ A.T)))
+        Y = A @ draws[i]
+        Y += mu[:, None]
+        # Y.T is a column-major (per, dim) view, like the blocks of _grid_blocks
+        means[i] = float(np.mean(f.value(Y.T)))
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(MC_REPLICATES))
     return SemigroupValue(value=value, stderr=stderr, method="monte-carlo")
@@ -259,17 +293,24 @@ def semigroup_gradient(
     """Exact-commutation gradient grad P_t f = e^{tB'} P_t(grad f).
 
     Differentiating the whitened representation in X moves the gradient
-    onto f and pulls out the constant factor e^{tB'}.
+    onto f and pulls out the constant factor e^{tB'}.  Only
+    Gaussian-polynomial functions are accepted: tensor Gauss-Hermite has
+    no error channel, so a compact profile's unresolved transition band
+    would go unreported.
     """
     t = _check_time(t)
+    if not isinstance(f, TestFunction):
+        raise TypeError("unsupported function type %r" % type(f).__name__)
     if f.dim != spec.dim:
         raise ValueError("dimension mismatch between spec and f")
+    X = np.asarray(X, dtype=float)
+    if X.shape != (spec.dim,):
+        raise ValueError("X must be a point in R^%d" % spec.dim)
     if spec.dim > MAX_TENSOR_DIM:
         raise UnsupportedDegreeError(
             "tensor quadrature is capped at N = %d" % MAX_TENSOR_DIM
         )
     g = gramians(spec, t)
-    X = np.asarray(X, dtype=float)
     return g.exp_tB.T @ _gauss_hermite_mean(g, X, f.gradient, quad.gh_order)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, special, stats
 
 from hypok.operator_core import (
     DomainError,
@@ -16,10 +16,12 @@ from hypok.operator_core import (
     heat,
     kolmogorov,
     ornstein_uhlenbeck,
+    sym_sqrt,
 )
 from hypok.semigroup import (
     DEFAULT_QUAD,
     GRID_BLOCK,
+    MC_REPLICATES,
     QuadratureSpec,
     apply_poisson,
     apply_semigroup,
@@ -31,6 +33,7 @@ from hypok.semigroup import (
     sup_norm,
     ultracontractivity_check,
     ultracontractivity_constant,
+    _mc_draws,
 )
 from hypok.testfuncs import (
     CompactBump,
@@ -115,6 +118,40 @@ def bump_reference(spec, bump, t, X, order=220):
     for axis in range(spec.dim):
         w = w * r * weights[np.searchsorted(xs[axis], Ys[:, axis])]
     return float(w @ (kernel_vals(spec, X, Ys, t) * bump.value(Ys)))
+
+
+def mc_loop_reference(spec, f, t, X, quad=DEFAULT_QUAD):
+    """The Monte Carlo estimator with fresh row-major draws per replicate."""
+    g = gramians(spec, t)
+    mu = g.exp_tB @ X
+    A = math.sqrt(2.0 * t) * sym_sqrt(g.K_t)
+    per = max(quad.mc_samples // MC_REPLICATES, 512)
+    means = np.empty(MC_REPLICATES)
+    for i in range(MC_REPLICATES):
+        rng = np.random.Generator(np.random.Philox(key=[quad.rng_seed, i]))
+        draws = rng.standard_normal(size=(per, spec.dim))
+        means[i] = float(np.mean(f.value(mu + draws @ A.T)))
+    return float(np.mean(means)), float(np.std(means, ddof=1) / math.sqrt(MC_REPLICATES))
+
+
+def heat2_bump_radial(bump, var, X):
+    """P_t bump(X) on heat(2), var = 2t, by the radial (Rice) law of |Y - c|.
+
+    Written as 1 minus the mass the bump misses, so a narrow law inside
+    the plateau gives 1 without resolving its peak.
+    """
+    rho = float(np.linalg.norm(np.asarray(X, float) - bump.center))
+    sigma = math.sqrt(var)
+    r_in, r_out = bump.inner_radius, bump.outer_radius
+
+    def missed(r):
+        density = r / var * math.exp(-((r - rho) ** 2) / (2.0 * var)) * special.i0e(
+            r * rho / var
+        )
+        return (1.0 - bump.value(bump.center + [r, 0.0])) * density
+
+    edge, _ = integrate.quad(missed, r_in, r_out, epsabs=1e-13, epsrel=1e-11, limit=200)
+    return 1.0 - edge - stats.rice.sf(r_out, rho / sigma, scale=sigma)
 
 
 class TestApplySemigroup:
@@ -234,8 +271,63 @@ class TestMonteCarloFallback:
         b = apply_semigroup_report(spec, bump, 0.4, np.zeros(2), quad=other)
         assert a.value != b.value
 
+    def test_draws_are_the_philox_streams(self):
+        seed = 12345
+        draws = _mc_draws(3, 2**14, seed)
+        per = 2**14 // MC_REPLICATES
+        assert draws.shape == (MC_REPLICATES, 3, per)
+        for i in range(MC_REPLICATES):
+            rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+            assert np.array_equal(draws[i], rng.standard_normal(size=(per, 3)).T)
+
+    def test_small_sample_counts_draw_512_per_replicate(self):
+        assert _mc_draws(2, 1024, 1).shape == (MC_REPLICATES, 2, 512)
+
+    def test_draws_are_read_only(self):
+        draws = _mc_draws(2, 1024, 3)
+        assert not draws.flags.writeable
+        with pytest.raises(ValueError):
+            draws[0, 0, 0] = 1.0
+
+    def test_draws_are_built_once(self):
+        quad = QuadratureSpec(time_nodes=8, mc_samples=1024, rng_seed=99)
+        spec, bump = heat(2), CompactBump(np.zeros(2), 0.3, 0.8)
+        _mc_draws.cache_clear()
+        for t in (0.1, 0.1, 0.7):
+            apply_semigroup_report(spec, bump, t, np.zeros(2), quad)
+        apply_poisson(spec, bump, 0.5, np.zeros(2), quad)
+        info = _mc_draws.cache_info()
+        assert info.misses == 1 and info.hits > 80
+
+    @pytest.mark.parametrize("spec", [kolmogorov(1), heat(3)], ids=["kolmogorov1", "heat3"])
+    @pytest.mark.parametrize("modulated", [False, True], ids=["bump", "modulated"])
+    def test_matches_fresh_draw_loop(self, spec, modulated):
+        n = spec.dim
+        f = CompactBump(np.full(n, 0.1), 0.4, 1.1)
+        if modulated:
+            monomial = (1,) + (0,) * (n - 1)
+            f = ModulatedBump(f, gaussian(np.full(n, -0.2), 0.8 * np.eye(n), monomial=monomial))
+        X = np.linspace(-0.3, 0.4, n)
+        for t in (0.05, 1.3):
+            got = apply_semigroup_report(spec, f, t, X)
+            value, stderr = mc_loop_reference(spec, f, t, X)
+            assert got.value == pytest.approx(value, rel=1e-13, abs=0.0)
+            assert got.stderr == pytest.approx(stderr, rel=1e-13, abs=0.0)
+
 
 class TestSemigroupGradient:
+    def test_rejects_compact_profiles(self):
+        bump = CompactBump(np.zeros(2), 0.3, 0.5)
+        for f in (bump, ModulatedBump(bump, gaussian(np.zeros(2), np.eye(2)))):
+            with pytest.raises(TypeError):
+                semigroup_gradient(heat(2), f, 0.01, np.array([0.35, 0.0]))
+
+    def test_rejects_bad_point(self):
+        f = gaussian(np.zeros(2), np.eye(2))
+        for X in (0.5, np.zeros(3), np.zeros((2, 2))):
+            with pytest.raises(ValueError):
+                semigroup_gradient(heat(2), f, 0.5, X)
+
     def test_linear_profile_exact(self):
         for spec in PRESETS():
             a = np.arange(1.0, spec.dim + 1.0)
@@ -310,6 +402,24 @@ class TestApplyPoisson:
         f = gaussian(np.zeros(2), np.eye(2))
         val = apply_poisson(spec, f, 2.5, np.array([0.5, -0.5]))
         assert math.isfinite(val) and val > 0
+
+    def test_monte_carlo_profile_matches_radial_subordination(self):
+        # 2/sqrt(pi) int_0^inf e^{-s^2} P_{z^2/(4s^2)} f ds: the subordinator
+        # in its Gamma(1/2) variable, sharing no split with apply_poisson
+        bump = CompactBump(np.zeros(2), 0.3, 0.8)
+        X, z = np.array([0.2, 0.1]), 0.5
+        ref, _ = integrate.quad(
+            lambda s: math.exp(-s * s) * heat2_bump_radial(bump, z * z / (2.0 * s * s), X),
+            0.0,
+            np.inf,
+            epsabs=1e-10,
+            limit=200,
+        )
+        ref *= 2.0 / math.sqrt(math.pi)
+        got = apply_poisson(heat(2), bump, z, X)
+        # a mean over 2^16 common draws, each a weighted time integral of
+        # a [0, 1]-valued bump: standard deviation at most 0.5 / 2^8
+        assert abs(got - ref) <= 6.0 * 0.5 / 2**8
 
     def test_rejects_bad_z(self):
         with pytest.raises(DomainError):

@@ -1,22 +1,20 @@
 """Semigroup and Poisson-semigroup application, kernel norms, ultracontractivity.
 
-P_t acts on the Gaussian-polynomial family through the whitening
-
-    P_t f(X) = pi^{-N/2} integral e^{-|u|^2} f(e^{tB} X + sqrt(4t) K(t)^{1/2} u) du,
-
-evaluated by tensor Gauss-Hermite quadrature, which is spectrally
-accurate because the transition density is exactly Gaussian.  Compactly
-supported profiles are handled by a counter-based Monte Carlo fallback
-that reports its standard error; its draws are generated once per
-(N, sample count, seed) and shared by every call, so the values along
-a Poisson time grid use common random numbers.  The Poisson semigroup
+P_t acts on the Gaussian-polynomial family in closed form: the
+transition density is exactly Gaussian, so P_t f and its gradient are
+the Gaussian convolutions of ``testfuncs.exact_semigroup_oracle``.
+Compactly supported profiles, which have no closed form, go to a
+counter-based Monte Carlo fallback that reports its standard error;
+its draws are generated once per (N, sample count, seed) and shared by
+every call, so the values along a Poisson time grid use common random
+numbers.  The Poisson semigroup
 is subordinated to P_t with the time axis split at t = z^2 and mapped
 onto (0, 1] on each side, so both the flat short-time end and the
 algebraic long-time decay are analytic in the quadrature variable.
 
-Every tensor grid (Gauss-Hermite for P_t, Gauss-Legendre and uniform
-for the norms) is summed in C-order blocks of at most ``GRID_BLOCK``
-points, so no full grid is ever held in memory.
+Every tensor grid (Gauss-Legendre and uniform, for the norms) is summed
+in C-order blocks of at most ``GRID_BLOCK`` points, so no full grid is
+ever held in memory.
 
 Kernel L^r norms over the first kernel slot are Gaussian integrals in
 closed form, value = c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r} with
@@ -57,7 +55,6 @@ __all__ = [
     "UltracontractivityResult",
     "DEFAULT_QUAD",
     "GRID_BLOCK",
-    "MAX_TENSOR_DIM",
     "apply_semigroup",
     "apply_semigroup_report",
     "semigroup_gradient",
@@ -70,7 +67,6 @@ __all__ = [
     "ultracontractivity_constant",
 ]
 
-MAX_TENSOR_DIM = 4
 MC_REPLICATES = 8
 # Monte Carlo draw sets kept by _mc_draws; at the default mc_samples one
 # holds 2^16 * N floats (1 MB for N = 2)
@@ -88,20 +84,22 @@ class QuadratureSpec:
     The draw set is built once per ``(dim, mc_samples, rng_seed)`` and
     shared by every call, whatever its time, point or function: values
     at different times use common random numbers.
+
+    :func:`apply_poisson` splits its time axis in two halves of
+    ``time_nodes // 2`` Gauss-Legendre nodes each, so a call evaluates
+    the semigroup at ``2 * (time_nodes // 2) + 1`` times, one of them at
+    the time cap (``time_nodes // 2 + 1`` when z^2 lies past the cap).
     """
 
-    gh_order: int = 40
     time_nodes: int = 200
     mc_samples: int = 2**16
     rng_seed: int = 20260822
 
     def __post_init__(self):
-        if self.gh_order < 8:
-            raise ValueError("gh_order must be at least 8")
         if self.mc_samples < 1024:
             raise ValueError("mc_samples must be at least 1024")
-        if self.time_nodes < 8:
-            raise ValueError("time_nodes must be at least 8")
+        if self.time_nodes < 80:
+            raise ValueError("time_nodes must be at least 80")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -221,31 +219,16 @@ def _check_time(t):
     return t
 
 
-def _gauss_hermite_mean(g, X, func, order):
-    """E[func(Y)] for Y ~ N(e^{tB} X, 2 t K(t)), block by block.
-
-    Whitening Y = e^{tB} X + sqrt(4t) K(t)^{1/2} u turns the transition
-    density into the weight e^{-|u|^2} / pi^{N/2}.
-    """
-    n = X.shape[0]
-    mu = g.exp_tB @ X
-    L = math.sqrt(4.0 * g.t) * sym_sqrt(g.K_t)
-    total = 0.0
-    for u, w in _grid_blocks(np.polynomial.hermite.hermgauss, order, n):
-        # transposed product: the points stay column-major like u
-        total = total + w @ func((L @ u.T + mu[:, None]).T)
-    return math.pi ** (-n / 2.0) * total
-
-
 def apply_semigroup_report(
     spec: OperatorSpec, f, t, X, quad: QuadratureSpec = DEFAULT_QUAD
 ) -> SemigroupValue:
     """P_t f(X) with method and sampling-error bookkeeping.
 
-    Gaussian-polynomial functions go through tensor Gauss-Hermite after
-    whitening; compact profiles fall back to replicated Monte Carlo on
-    the shared draw set of ``quad`` (see :class:`QuadratureSpec`), with
-    the replicate spread reported as a standard error.
+    Gaussian-polynomial functions are convolved in closed form (method
+    ``"closed-form"``, stderr 0); compact profiles fall back to
+    replicated Monte Carlo on the shared draw set of ``quad`` (see
+    :class:`QuadratureSpec`), with the replicate spread reported as a
+    standard error.
     """
     t = _check_time(t)
     if not isinstance(f, (TestFunction, CompactBump, ModulatedBump)):
@@ -257,13 +240,8 @@ def apply_semigroup_report(
         raise ValueError("X must be a point in R^%d" % spec.dim)
 
     if isinstance(f, TestFunction):
-        if spec.dim > MAX_TENSOR_DIM:
-            raise UnsupportedDegreeError(
-                "tensor quadrature is capped at N = %d" % MAX_TENSOR_DIM
-            )
-        g = gramians(spec, t)
-        value = float(_gauss_hermite_mean(g, X, f.value, quad.gh_order))
-        return SemigroupValue(value=value, stderr=0.0, method="gauss-hermite")
+        value = exact_semigroup_oracle(spec, f, t, X)
+        return SemigroupValue(value=value, stderr=0.0, method="closed-form")
 
     g = gramians(spec, t)
     mu = g.exp_tB @ X
@@ -287,16 +265,15 @@ def apply_semigroup(
     return apply_semigroup_report(spec, f, t, X, quad).value
 
 
-def semigroup_gradient(
-    spec: OperatorSpec, f: TestFunction, t, X, quad: QuadratureSpec = DEFAULT_QUAD
-) -> np.ndarray:
-    """Exact-commutation gradient grad P_t f = e^{tB'} P_t(grad f).
+def semigroup_gradient(spec: OperatorSpec, f: TestFunction, t, X) -> np.ndarray:
+    """grad P_t f(X) in closed form.
 
-    Differentiating the whitened representation in X moves the gradient
-    onto f and pulls out the constant factor e^{tB'}.  Only
-    Gaussian-polynomial functions are accepted: tensor Gauss-Hermite has
-    no error channel, so a compact profile's unresolved transition band
-    would go unreported.
+    P_t f(X) is a function of the transition mean e^{tB} X, so the
+    gradient is e^{tB'} times the derivative of the Gaussian convolution
+    in its mean (see :func:`testfuncs.exact_semigroup_oracle`); f keeps
+    its own degree.  Only Gaussian-polynomial functions are accepted:
+    a compact profile would need a sampled gradient with no error
+    channel.
     """
     t = _check_time(t)
     if not isinstance(f, TestFunction):
@@ -306,17 +283,12 @@ def semigroup_gradient(
     X = np.asarray(X, dtype=float)
     if X.shape != (spec.dim,):
         raise ValueError("X must be a point in R^%d" % spec.dim)
-    if spec.dim > MAX_TENSOR_DIM:
-        raise UnsupportedDegreeError(
-            "tensor quadrature is capped at N = %d" % MAX_TENSOR_DIM
-        )
-    g = gramians(spec, t)
-    return g.exp_tB.T @ _gauss_hermite_mean(g, X, f.gradient, quad.gh_order)
+    return exact_semigroup_oracle(spec, f, t, X, gradient=True)
 
 
 def _poisson_profile(spec, f, ts, X, quad):
-    """Semigroup values along a time grid: closed form when available."""
-    if isinstance(f, TestFunction) and f.degree <= 2:
+    """Semigroup values along a time grid: closed form for the family."""
+    if isinstance(f, TestFunction):
         return exact_semigroup_profile(spec, f, ts, X)
     return np.array([apply_semigroup(spec, f, float(t), X, quad) for t in ts])
 
@@ -337,13 +309,17 @@ def apply_poisson(
     large-time decay turns into a one-sided power of v, which
     Gauss-Legendre resolves where a symmetric rule would see a kink.
     Drifts with spectral decay are cut at an overflow-safe time cap and
-    the converged remainder is added as an erf mass.
+    the converged remainder is added as an erf mass.  Each side takes
+    ``quad.time_nodes // 2`` nodes, so a call evaluates P_t f at
+    ``2 * (time_nodes // 2) + 1`` times, one of them at the cap
+    (``time_nodes // 2 + 1`` when z^2 lies past the cap and the second
+    side is empty).
     """
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError("z must be positive and finite")
     X = np.asarray(X, dtype=float)
-    half = max(quad.time_nodes // 2, 40)
+    half = quad.time_nodes // 2
     nodes, weights = _rule(np.polynomial.legendre.leggauss, half)
     sqrt_pi = math.sqrt(math.pi)
 
@@ -415,20 +391,6 @@ def kernel_lr_norm(spec: OperatorSpec, Y, t, r) -> float:
     # log of the integral of the kernel's Gaussian factor to the power r
     log_mass = n * math.log(2.0) + 0.5 * g.logdet_C + 0.5 * n * math.log(math.pi / r)
     return math.exp(log_amp + log_mass / r)
-
-
-def _norm_radius(f: TestFunction) -> float:
-    """Box half-width containing all but < 1e-12 of every term's mass."""
-    radius = 1.0
-    for term in f.terms:
-        spread = 0.0
-        if np.linalg.norm(term.shape, 2) > 0:
-            lam_min = float(np.linalg.eigvalsh(term.shape)[0])
-            if lam_min > 0:
-                # exp(-lam_min s^2) < 1e-14 outside s = 6 / sqrt(lam_min)
-                spread = 6.0 / math.sqrt(lam_min)
-        radius = max(radius, float(np.max(np.abs(term.center))) + spread + 1.0)
-    return radius
 
 
 def _pushed_geometry(spec, f: TestFunction, t):

@@ -6,9 +6,10 @@ Each function in the family is a finite sum of terms
 
 with a symmetric PSD shape matrix and a multi-index monomial of total
 degree at most 4.  The family is closed under the operations the rest of
-the package needs: values, gradients and Hessians are exact, and for
-monomial degree at most 2 the Gaussian convolution against the transition
-density N(e^{tB} X, 2 t K(t)) has a closed form, which makes the family a
+the package needs: values, gradients and Hessians are exact, and so is
+the Gaussian convolution against the transition density
+N(e^{tB} X, 2 t K(t)) with its gradient in X, by Isserlis' theorem for
+the Gaussian moments of every monomial.  This makes the family a
 quadrature-free oracle for every semigroup routine built on top of it.
 
 Shape matrices are allowed to vanish so that linear and constant
@@ -19,6 +20,7 @@ term decays (all shapes positive definite).
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +47,12 @@ __all__ = [
 ]
 
 MAX_EVAL_DEGREE = 4
-MAX_ORACLE_DEGREE = 2
 
 # factored convolutions kept by exact_semigroup_oracle; one is a few
 # small matrices per term
 CONVOLUTION_CACHE_SIZE = 64
+# monomials whose Isserlis pairings _pairings keeps (126 at N = 5)
+PAIRINGS_CACHE_SIZE = 256
 
 
 class UnsupportedDegreeError(ValueError):
@@ -344,17 +347,13 @@ def _convolution_factors(f, Sigma):
     where A = S G^{-1} is symmetric.  Sigma degenerates like t near t = 0,
     so the naive Sigma^{-1} + 2S route cancels catastrophically while this
     one stays exact.  Each entry is (term, A, G^{-1}, log det(G) / 2,
-    G^{-1} Sigma); the last two carry a trailing axis that broadcasts over
-    a batch of means.
+    G^{-1} Sigma, pairings of the monomial or None at degree 0); the
+    log-determinant and the covariance carry a trailing axis that
+    broadcasts over a batch of means.
     """
     eye = np.eye(f.dim)
     factors = []
     for term in f.terms:
-        if term.degree > MAX_ORACLE_DEGREE:
-            raise UnsupportedDegreeError(
-                "closed-form convolution supports monomial degree <= %d"
-                % MAX_ORACLE_DEGREE
-            )
         G = eye + 2.0 * Sigma @ term.shape
         sign, logdet = np.linalg.slogdet(G)
         if np.any(sign <= 0):
@@ -362,7 +361,10 @@ def _convolution_factors(f, Sigma):
         Ginv = np.linalg.inv(G)
         A = _sym(term.shape @ Ginv)
         cov = _sym(Ginv @ Sigma)[..., None]
-        factors.append((term, A, Ginv, np.asarray(0.5 * logdet)[..., None], cov))
+        pairings = _pairings(term.monomial) if term.degree else None
+        factors.append(
+            (term, A, Ginv, np.asarray(0.5 * logdet)[..., None], cov, pairings)
+        )
     return factors
 
 
@@ -370,24 +372,66 @@ def _sym(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def _convolve(factors, mu):
-    """Sum of the factored terms at means mu of shape (..., M, N); (..., M)."""
-    total = 0.0
-    for term, A, Ginv, half_logdet, cov in factors:
-        m = mu - term.center
-        # <A m, m> >= 0, so the exponential never overflows
-        amp = np.exp(-_quad_form(A, m) - half_logdet)
-        idx = [i for i, k in enumerate(term.monomial) for _ in range(k)]
+@functools.lru_cache(maxsize=PAIRINGS_CACHE_SIZE)
+def _pairings(monomial):
+    """Isserlis terms of E[W^monomial] as (count, singles monomial, pairs).
+
+    The moment of a Gaussian W ~ N(nu, c) sums, over the partial pairings
+    of the monomial's index list (10 at degree 4), nu^singles times the
+    c_ij of the pairs; pairings with equal products are merged.
+    """
+    found = Counter()
+
+    def pair_off(idx, singles, pairs):
         if not idx:
-            moment = 1.0
-        else:
+            counts = tuple(singles.count(i) for i in range(len(monomial)))
+            found[counts, tuple(sorted(pairs))] += 1
+            return
+        first, rest = idx[0], idx[1:]
+        pair_off(rest, singles + (first,), pairs)
+        for k, other in enumerate(rest):
+            pair_off(rest[:k] + rest[k + 1 :], singles, pairs + ((first, other),))
+
+    pair_off(tuple(i for i, k in enumerate(monomial) for _ in range(k)), (), ())
+    return tuple((n, singles, pairs) for (singles, pairs), n in found.items())
+
+
+def _moment(pairings, nu, cov, gradient):
+    """E[W^kappa] for W ~ N(nu, cov) and, with ``gradient``, its nu-gradient."""
+    moment = grad = 0.0
+    for count, singles, pairs in pairings:
+        weight = count
+        for i, j in pairs:
+            weight = weight * cov[..., i, j, :]
+        moment = moment + weight * _monomial(nu, singles)
+        if gradient:
+            grad = grad + np.expand_dims(weight, -1) * _monomial_grad(nu, singles)
+    return moment, grad
+
+
+def _convolve(factors, mu, gradient=False):
+    """Sum of the factored terms at means mu of shape (..., M, N); (..., M).
+
+    With ``gradient`` it returns the gradient in mu instead, shape
+    (..., M, N): per term amp * (-2 A m E[W^kappa] + G^{-T} grad_nu E[W^kappa]).
+    """
+    total = 0.0
+    for term, A, Ginv, half_logdet, cov, pairings in factors:
+        m = mu - term.center
+        Am = _matmul(m, A)
+        # <A m, m> >= 0, so the exponential never overflows
+        amp = term.coeff * np.exp(-np.einsum("...i,...i->...", Am, m) - half_logdet)
+        moment = 1.0
+        if pairings is not None:
             nu = _matmul(m, np.swapaxes(Ginv, -1, -2))
-            if len(idx) == 1:
-                moment = nu[..., idx[0]]
-            else:
-                i, j = idx
-                moment = nu[..., i] * nu[..., j] + cov[..., i, j, :]
-        total = total + term.coeff * amp * moment
+            moment, dmoment = _moment(pairings, nu, cov, gradient)
+        if gradient:
+            part = -2.0 * Am * np.expand_dims(moment, -1)
+            if pairings is not None:
+                part += _matmul(dmoment, Ginv)
+            total = total + amp[..., None] * part
+        else:
+            total = total + (amp if pairings is None else amp * moment)
     return total
 
 
@@ -397,24 +441,27 @@ def _oracle_factors(spec, f, t):
     return g.exp_tB, _convolution_factors(f, 2.0 * t * g.K_t)
 
 
-def exact_semigroup_oracle(spec: OperatorSpec, f: TestFunction, t, X):
-    """Exact P_t f (X) by analytic Gaussian convolution.
+def exact_semigroup_oracle(spec: OperatorSpec, f: TestFunction, t, X, gradient=False):
+    """Exact P_t f (X), or its gradient in X, by analytic Gaussian convolution.
 
     Parameters
     ----------
     spec : OperatorSpec
         Hypoelliptic operator data.
     f : TestFunction
-        Monomial degree at most 2 in every term.
+        Any member of the family (monomial degree at most 4, any N).
     t : positive float
     X : array of shape (N,) or (..., N)
         Batched evaluation points share one factorisation.
+    gradient : bool
+        Return grad_X P_t f = e^{tB'} (gradient in the mean) instead.
 
     Returns
     -------
     float or ndarray
         P_t f evaluated at X, the integral of f against the Gaussian
-        transition density with mean e^{tB} X and covariance 2 t K(t).
+        transition density with mean e^{tB} X and covariance 2 t K(t);
+        with ``gradient``, an array of the shape of X.
 
     Notes
     -----
@@ -429,7 +476,9 @@ def exact_semigroup_oracle(spec: OperatorSpec, f: TestFunction, t, X):
         raise ValueError("points must have trailing dimension %d" % spec.dim)
     exp_tB, factors = _oracle_factors(spec, f, float(t))
     flat = X.reshape(-1, spec.dim)
-    vals = _convolve(factors, _matmul(flat, exp_tB.T))
+    vals = _convolve(factors, _matmul(flat, exp_tB.T), gradient)
+    if gradient:
+        return _matmul(vals, exp_tB).reshape(X.shape)
     return float(vals[0]) if X.ndim == 1 else vals.reshape(X.shape[:-1])
 
 
@@ -478,34 +527,20 @@ class CompactBump:
     def dim(self):
         return self.center.shape[0]
 
-    def _s(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        r = np.linalg.norm(Y - self.center, axis=-1)
-        width = self.outer_radius - self.inner_radius
-        return np.clip((r - self.inner_radius) / width, 0.0, 1.0), r
-
     def value(self, Y):
-        s, _ = self._s(Y)
+        r = np.linalg.norm(np.asarray(Y, dtype=float) - self.center, axis=-1)
+        width = self.outer_radius - self.inner_radius
+        s = np.clip((r - self.inner_radius) / width, 0.0, 1.0)
         out = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
         return out if out.ndim else float(out)
-
-    def gradient(self, Y):
-        Y = np.asarray(Y, dtype=float)
-        s, r = self._s(Y)
-        width = self.outer_radius - self.inner_radius
-        ds = -30.0 * s**2 * (1.0 - s) ** 2 / width
-        # radial direction; the factor vanishes wherever r could be 0
-        safe_r = np.where(r > 0, r, 1.0)
-        out = ds[..., None] * (Y - self.center) / safe_r[..., None]
-        return out
 
 
 @dataclass(frozen=True, eq=False)
 class ModulatedBump:
-    """Product bump * f with the exact product-rule gradient.
+    """Product bump * f, by value only.
 
-    Value and gradient only; used where compact support is required of
-    an otherwise Gaussian-polynomial profile.
+    Used where compact support is required of an otherwise
+    Gaussian-polynomial profile.
     """
 
     bump: CompactBump
@@ -521,11 +556,3 @@ class ModulatedBump:
 
     def value(self, Y):
         return self.bump.value(Y) * self.f.value(Y)
-
-    def gradient(self, Y):
-        bv = np.asarray(self.bump.value(Y))
-        fv = np.asarray(self.f.value(Y))
-        return (
-            bv[..., None] * self.f.gradient(Y)
-            + fv[..., None] * self.bump.gradient(Y)
-        )

@@ -40,7 +40,6 @@ from hypok.testfuncs import (
     GaussianTerm,
     ModulatedBump,
     TestFunction,
-    UnsupportedDegreeError,
     constant,
     exact_semigroup_oracle,
     gaussian,
@@ -75,6 +74,35 @@ def random_schwartz(rng, dim, n_terms=2, max_degree=2, widest=2.0):
     for extra in terms[1:]:
         out = out + extra
     return out
+
+
+class Values:
+    """A callable on points as an object with ``value``, for gh_semigroup."""
+
+    def __init__(self, func):
+        self.value = func
+
+
+def spread_ratio(spec, S, t):
+    """lambda_max(2 Sigma S), Sigma = 2 t K(t): kernel spread over the width of f."""
+    return float(np.max(np.linalg.eigvals(4.0 * t * gramians(spec, t).K_t @ S).real))
+
+
+def heat_1d_convolution(k, s, m, t):
+    """E[w^k exp(-s w^2)] for w ~ N(m, 2t), written out in one dimension.
+
+    Completing the square leaves g^{-1/2} exp(-s m^2 / g) times the k-th
+    raw moment of N(m / g, 2t / g), g = 1 + 4 s t, which is
+    sum_j C(k, 2j) (2j - 1)!! mean^{k-2j} var^j.
+    """
+    g = 1.0 + 4.0 * s * t
+    mean, var = m / g, 2.0 * t / g
+    moment = sum(
+        math.comb(k, 2 * j) * math.prod(range(1, 2 * j, 2))
+        * var**j * mean ** (k - 2 * j)
+        for j in range(k // 2 + 1)
+    )
+    return math.exp(-s * m * m / g) / math.sqrt(g) * moment
 
 
 def nested_semigroup(spec, f, s, t, X, order=80):
@@ -156,25 +184,29 @@ def heat2_bump_radial(bump, var, X):
 
 class TestApplySemigroup:
     def test_matches_exact_oracle(self):
+        # the closed form is the oracle; a 60-point tensor rule confirms it
         rng = np.random.default_rng(11)
         for spec in PRESETS():
             for t in (0.05, 0.2, 0.5):
                 f = random_schwartz(rng, spec.dim, widest=1.2)
                 X = rng.uniform(-2.0, 2.0, size=spec.dim)
-                got = apply_semigroup(spec, f, t, X)
-                want = exact_semigroup_oracle(spec, f, t, X)
-                assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+                report = apply_semigroup_report(spec, f, t, X)
+                assert report.method == "closed-form" and report.stderr == 0.0
+                assert report.value == exact_semigroup_oracle(spec, f, t, X)
+                want = gh_semigroup(spec, f, t, X, order=60)
+                assert abs(report.value - want) <= 1e-9 * (1.0 + abs(want))
 
     def test_matches_exact_oracle_sharp_terms(self):
-        # narrow terms at long times need a denser rule: the whitened
-        # integrand oscillates on the scale sigma / sqrt(4 t lambda_max(K))
+        # narrow terms at long times need a denser rule on the test side:
+        # the whitened integrand oscillates on the scale
+        # sigma / sqrt(4 t lambda_max(K))
         rng = np.random.default_rng(13)
-        quad = QuadratureSpec(gh_order=200)
         for spec in PRESETS():
             f = random_schwartz(rng, spec.dim, widest=2.0)
             X = rng.uniform(-2.0, 2.0, size=spec.dim)
-            got = apply_semigroup(spec, f, 2.0, X, quad=quad)
-            want = exact_semigroup_oracle(spec, f, 2.0, X)
+            got = apply_semigroup(spec, f, 2.0, X)
+            assert got == exact_semigroup_oracle(spec, f, 2.0, X)
+            want = gh_semigroup(spec, f, 2.0, X, order=200)
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
     def test_constant_preserved(self):
@@ -194,12 +226,11 @@ class TestApplySemigroup:
 
     def test_semigroup_law(self):
         rng = np.random.default_rng(5)
-        quad = QuadratureSpec(gh_order=128)
         for spec in PRESETS():
             f = random_schwartz(rng, spec.dim, widest=1.5)
             X = rng.uniform(-1.0, 1.0, size=spec.dim)
             for s, t in ((0.3, 0.7), (1.0, 1.0)):
-                whole = apply_semigroup(spec, f, s + t, X, quad=quad)
+                whole = apply_semigroup(spec, f, s + t, X)
                 nested = nested_semigroup(spec, f, s, t, X)
                 assert abs(nested - whole) <= 1e-8 * (1.0 + abs(whole))
 
@@ -223,23 +254,90 @@ class TestApplySemigroup:
         with pytest.raises(ValueError):
             apply_semigroup(spec, gaussian(np.zeros(3), np.eye(3)), 1.0, np.zeros(2))
 
-    def test_tensor_cap(self):
+    def test_five_dims_match_product_of_1d_closed_forms(self):
+        # N = 5 was once beyond the tensor rule; on heat(5) a product
+        # term factors into five independent 1-D convolutions
         spec = heat(5)
         f = gaussian(np.zeros(5), np.eye(5))
-        with pytest.raises(UnsupportedDegreeError):
-            apply_semigroup(spec, f, 1.0, np.zeros(5))
+        got = apply_semigroup(spec, f, 1.0, np.zeros(5))
+        assert got == pytest.approx(5.0**-2.5, rel=1e-14)
+        rng = np.random.default_rng(43)
+        for monomial in ((1, 0, 2, 0, 1), (0, 4, 0, 0, 0), (1, 1, 0, 1, 0)):
+            shapes = rng.uniform(0.3, 2.0, size=5)
+            center = rng.uniform(-0.5, 0.5, size=5)
+            X = rng.uniform(-1.0, 1.0, size=5)
+            f = gaussian(center, np.diag(shapes), coeff=-1.7, monomial=monomial)
+            want = -1.7 * math.prod(
+                heat_1d_convolution(k, s, x - c, 0.7)
+                for k, s, c, x in zip(monomial, shapes, center, X)
+            )
+            got = apply_semigroup(spec, f, 0.7, X)
+            assert got == pytest.approx(want, rel=1e-13)
 
     def test_four_dims_match_full_grid_route(self):
-        # order 20 at N = 4 sums 160000 nodes in three blocks (8 + 8 + 4
-        # leading slabs of 8000), against one full tensor grid
+        # a 30-point rule at N = 4 (810000 nodes) resolves this integrand
+        # to about 3e-14; 20 points leave 6e-11
         rng = np.random.default_rng(41)
         spec = kolmogorov(2)
-        quad = QuadratureSpec(gh_order=20)
         f = random_schwartz(rng, 4, max_degree=4, widest=1.2)
         X = rng.uniform(-1.0, 1.0, size=4)
-        got = apply_semigroup(spec, f, 0.4, X, quad=quad)
-        want = gh_semigroup(spec, f, 0.4, X, order=20)
+        got = apply_semigroup(spec, f, 0.4, X)
+        want = gh_semigroup(spec, f, 0.4, X, order=30)
         assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
+
+    def test_wide_kernel_matches_closed_form(self):
+        # P_t of exp(-|Y|^2 / 0.18) at 0 on heat(2) is 0.09 / (0.09 + 2t);
+        # at t = 10 the kernel is 200 times wider than f
+        f = gaussian(np.zeros(2), np.eye(2) / 0.18)
+        for t in (1.0, 10.0):
+            report = apply_semigroup_report(heat(2), f, t, np.zeros(2))
+            assert report.value == pytest.approx(0.09 / (0.09 + 2.0 * t), rel=1e-14)
+            assert report.stderr == 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        degree=st.integers(0, 4),
+        seed=st.integers(0, 10**6),
+    )
+    def test_matches_gauss_hermite_in_its_safe_domain(self, dim, degree, seed):
+        # inside alpha = lambda_max(2 Sigma S) <= 1 (kernel no wider than
+        # f) a tensor rule converges; at N = 4 alpha <= 1/2 lets 24
+        # points per axis resolve the degree-5 gradient integrands
+        rng = np.random.default_rng(seed)
+        specs = {
+            1: (heat(1),),
+            2: (heat(2), kolmogorov(1), ornstein_uhlenbeck(2)),
+            3: (heat(3),),
+            4: (kolmogorov(2), heat(4)),
+        }[dim]
+        spec = specs[seed % len(specs)]
+        Qmat, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        shape = (Qmat * rng.uniform(0.3, 2.0, size=dim)) @ Qmat.T
+        monomial = np.bincount(rng.integers(0, dim, size=degree), minlength=dim)
+        center, coeff = rng.uniform(-1.0, 1.0, size=dim), rng.uniform(-2.0, 2.0)
+        f = gaussian(center, shape, coeff, tuple(monomial))
+        alpha_max = 1.0 if dim < 4 else 0.5
+        t = math.exp(rng.uniform(math.log(0.01), math.log(3.0)))
+        while spread_ratio(spec, shape, t) > alpha_max:
+            t /= 2.0
+        X = rng.uniform(-1.0, 1.0, size=dim)
+        order = {1: 60, 2: 40, 3: 40, 4: 24}[dim]
+
+        def columns(Y):
+            # f, grad f and their absolute values, which set the scales
+            vals = np.column_stack([f.value(Y), f.gradient(Y)])
+            return np.hstack([vals, np.abs(vals)])
+
+        sums = gh_semigroup(spec, Values(columns), t, X, order=order)
+        want, pulled = sums[0], sums[1 : dim + 1]
+        scale, scales = sums[dim + 1], sums[dim + 2 :]
+        # errors are relative to P_t |f|, since f changes sign
+        assert abs(apply_semigroup(spec, f, t, X) - want) <= 1e-12 * scale
+        # grad P_t f = e^{tB'} P_t(grad f)
+        E = gramians(spec, t).exp_tB
+        gap = np.abs(semigroup_gradient(spec, f, t, X) - E.T @ pulled)
+        assert np.all(gap <= 1e-12 * (np.abs(E).T @ scales))
 
     def test_rejects_plain_callable(self):
         with pytest.raises(TypeError):
@@ -290,7 +388,7 @@ class TestMonteCarloFallback:
             draws[0, 0, 0] = 1.0
 
     def test_draws_are_built_once(self):
-        quad = QuadratureSpec(time_nodes=8, mc_samples=1024, rng_seed=99)
+        quad = QuadratureSpec(time_nodes=80, mc_samples=1024, rng_seed=99)
         spec, bump = heat(2), CompactBump(np.zeros(2), 0.3, 0.8)
         _mc_draws.cache_clear()
         for t in (0.1, 0.1, 0.7):
@@ -353,6 +451,23 @@ class TestSemigroupGradient:
                 ) / (2.0 * h)
                 assert abs(grad[i] - fd) <= 1e-6 * (1.0 + abs(fd))
 
+    def test_degree_four_matches_central_differences(self):
+        # fourth-order stencil: truncation about h^4 = 1e-12, roundoff 1e-13
+        rng = np.random.default_rng(47)
+        h = 1e-3
+        for spec in (heat(2), kolmogorov(1), ornstein_uhlenbeck(2), kolmogorov(2)):
+            n = spec.dim
+            for monomial in ((4,) + (0,) * (n - 1), (1, 3) + (0,) * (n - 2)):
+                center = rng.uniform(-0.5, 0.5, size=n)
+                f = gaussian(center, 0.8 * np.eye(n), monomial=monomial)
+                X = rng.uniform(-1.0, 1.0, size=n)
+                grad = semigroup_gradient(spec, f, 1.3, X)
+                for i, e in enumerate(np.eye(n)):
+                    steps = X + h * np.outer((-2, -1, 1, 2), e)
+                    v = [apply_semigroup(spec, f, 1.3, Y) for Y in steps]
+                    fd = (v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * h)
+                    assert abs(grad[i] - fd) <= 1e-10 * (1.0 + abs(fd))
+
 
 class TestApplyPoisson:
     def test_preserves_constant(self):
@@ -388,6 +503,37 @@ class TestApplyPoisson:
             brute += part
         got = apply_poisson(spec, f, z, X)
         assert abs(got - brute) <= 1e-7 * abs(brute)
+
+    def test_degree_three_matches_brute_subordination(self):
+        # a degree-3 profile, once a Gauss-Hermite one, against quad over
+        # the subordinator of the 1-D closed form
+        spec = heat(1)
+        f = gaussian([0.2], [[0.7]], coeff=1.5, monomial=(3,))
+        X, z = np.array([-0.4]), 0.9
+
+        def integrand(t):
+            density = z / math.sqrt(4.0 * math.pi) * t**-1.5 * math.exp(-z * z / (4.0 * t))
+            return density * 1.5 * heat_1d_convolution(3, 0.7, X[0] - 0.2, t)
+
+        brute = sum(
+            integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+            for lo, hi in ((0.0, z**2), (z**2, 50.0), (50.0, np.inf))
+        )
+        assert apply_poisson(spec, f, z, X) == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("nodes, times", [(80, 81), (81, 81), (200, 201)])
+    def test_time_nodes_are_honoured(self, nodes, times):
+        # each profile time is one Monte Carlo value on the shared draws
+        quad = QuadratureSpec(time_nodes=nodes, mc_samples=1024)
+        bump = CompactBump(np.zeros(2), 0.3, 0.8)
+        _mc_draws.cache_clear()
+        apply_poisson(heat(2), bump, 0.5, np.zeros(2), quad)
+        info = _mc_draws.cache_info()
+        assert info.hits + info.misses == times
+
+    def test_time_nodes_floor(self):
+        with pytest.raises(ValueError):
+            QuadratureSpec(time_nodes=79)
 
     def test_short_range_identity(self):
         rng = np.random.default_rng(9)

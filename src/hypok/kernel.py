@@ -30,6 +30,7 @@ from .operator_core import (
     DomainError,
     KernelConstants,
     OperatorSpec,
+    _check_time,
     gramians,
 )
 
@@ -49,15 +50,6 @@ __all__ = [
 # below this the prefactor c_N / V(t) overflows before the exponent can
 # compensate, so evaluations are rejected rather than returned as inf
 T_MIN = 1e-12
-
-
-def _check_time(t):
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError("time must be positive and finite")
-    if t < T_MIN:
-        raise DomainError("time below %g is outside the evaluation domain" % T_MIN)
-    return t
 
 
 def _point(x, dim):
@@ -105,7 +97,7 @@ def pseudo_distance(spec: OperatorSpec, X, Y, t) -> float:
     Not symmetric in (X, Y) unless e^{tB} is orthogonal and commutes
     with K(t), e.g. for the pure heat preset.
     """
-    t = _check_time(t)
+    t = _check_time(t, T_MIN)
     g = gramians(spec, t)
     X = _point(X, spec.dim)
     Y = np.asarray(Y, dtype=float)
@@ -119,7 +111,7 @@ def pseudo_distance(spec: OperatorSpec, X, Y, t) -> float:
 
 def volume(spec: OperatorSpec, t) -> float:
     """Volume function V(t) = omega_N det(t K(t))^{1/2}."""
-    t = _check_time(t)
+    t = _check_time(t, T_MIN)
     g = gramians(spec, t)
     const = KernelConstants.for_dim(spec.dim)
     return const.omega_N * math.exp(0.5 * g.logdet_tK)
@@ -127,7 +119,7 @@ def volume(spec: OperatorSpec, t) -> float:
 
 def heat_kernel(spec: OperatorSpec, X, Y, t) -> KernelEval:
     """Evaluate the transition kernel p(X, Y, t) in both closed forms."""
-    t = _check_time(t)
+    t = _check_time(t, T_MIN)
     g = gramians(spec, t)
     X = _point(X, spec.dim)
     Y = _point(Y, spec.dim)
@@ -173,7 +165,7 @@ def kernel_log_derivatives(spec: OperatorSpec, X, Y, t) -> KernelLogDerivatives:
     the time formula using d/dt log det C = tr(Q C^{-1}) - 2 tr B and the
     Gramian ODE C' = Q - B C - C B'.
     """
-    t = _check_time(t)
+    t = _check_time(t, T_MIN)
     g = gramians(spec, t)
     X = _point(X, spec.dim)
     Y = _point(Y, spec.dim)
@@ -203,7 +195,7 @@ def liyau_kernel_identity(spec: OperatorSpec, X, Y, t, tau) -> LiYauKernelIdenti
     s = float(t) - float(tau)
     if not math.isfinite(s) or s <= 0.0:
         raise DomainError("need t > tau")
-    s = _check_time(s)
+    s = _check_time(s, T_MIN)
     g = gramians(spec, s)
     X = _point(X, spec.dim)
     der = kernel_log_derivatives(spec, X, Y, s)

@@ -48,10 +48,24 @@ def _as_square(M, name: str) -> np.ndarray:
     return M
 
 
+def _check_time(t, t_min: float = 0.0) -> float:
+    """t as a float, or DomainError unless it is finite, positive and >= t_min."""
+    t = float(t)
+    if not math.isfinite(t) or t <= 0.0:
+        raise DomainError("time must be positive and finite")
+    if t < t_min:
+        raise DomainError("time below %g is outside the evaluation domain" % t_min)
+    return t
+
+
 def sym_sqrt(M) -> np.ndarray:
-    """Symmetric PSD square root (eigendecomposition; deterministic)."""
+    """Symmetric PSD square root (eigendecomposition; deterministic).
+
+    ``M`` may be (N, N) or a stack (..., N, N); a stack takes one ``eigh``.
+    """
     w, V = np.linalg.eigh(M)
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+    root = V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return root @ np.swapaxes(V, -1, -2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,10 +11,17 @@ numbers.  The Poisson semigroup
 is subordinated to P_t with the time axis split at t = z^2 and mapped
 onto (0, 1] on each side, so both the flat short-time end and the
 algebraic long-time decay are analytic in the quadrature variable.
+A Poisson call builds its whole time grid first and takes one Gramian
+profile for it: the closed form is batched over the grid, and a compact
+profile takes one Monte Carlo mean per time from the batched means
+e^{tB} X and sampling factors (2 tK(t))^{1/2}, leaving the per-time
+Gramian memo untouched.
 
 Every tensor grid (Gauss-Legendre and uniform, for the norms) is summed
 in C-order blocks of at most ``GRID_BLOCK`` points, so no full grid is
-ever held in memory.
+ever held in memory.  Blocks and default Monte Carlo replicates hold
+8192 points, so a coordinate array (64 KB) stays below glibc's default
+128 KB mmap threshold and its temporaries are reused from the heap.
 
 Kernel L^r norms over the first kernel slot are Gaussian integrals in
 closed form, value = c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r} with
@@ -35,6 +42,8 @@ from .operator_core import (
     DomainError,
     KernelConstants,
     OperatorSpec,
+    _check_time,
+    gramian_profile,
     gramians,
     heat,
     sym_sqrt,
@@ -71,8 +80,11 @@ MC_REPLICATES = 8
 # Monte Carlo draw sets kept by _mc_draws; at the default mc_samples one
 # holds 2^16 * N floats (1 MB for N = 2)
 MC_DRAWS_CACHE_SIZE = 8
-# points per block of a tensor grid; bounds the memory of every grid sum
-GRID_BLOCK = 1 << 16
+# points per block of a tensor grid; bounds the memory of every grid sum.
+# One coordinate or value array of a block is then 64 KB, below glibc's
+# default 128 KB mmap threshold, so the temporaries of each block are
+# reused from the heap instead of being mapped and page-faulted anew
+GRID_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -83,12 +95,16 @@ class QuadratureSpec:
     512)`` standard normal points, so ``mc_samples=1024`` draws 4096.
     The draw set is built once per ``(dim, mc_samples, rng_seed)`` and
     shared by every call, whatever its time, point or function: values
-    at different times use common random numbers.
+    at different times use common random numbers.  Each replicate is
+    evaluated as one chunk; the default ``mc_samples`` makes it 8192
+    points, a 64 KB array per coordinate, which keeps its temporaries
+    below glibc's default 128 KB mmap threshold.
 
     :func:`apply_poisson` splits its time axis in two halves of
     ``time_nodes // 2`` Gauss-Legendre nodes each, so a call evaluates
     the semigroup at ``2 * (time_nodes // 2) + 1`` times, one of them at
-    the time cap (``time_nodes // 2 + 1`` when z^2 lies past the cap).
+    the time cap (``time_nodes // 2 + 1`` when z^2 lies past the cap),
+    all from one Gramian profile.
     """
 
     time_nodes: int = 200
@@ -212,11 +228,28 @@ def _mc_draws(dim, mc_samples, rng_seed):
     return draws
 
 
-def _check_time(t):
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError("time must be positive and finite")
-    return t
+def _check_input(spec, f, X, kinds):
+    """X as a float point of R^N, once f is one of ``kinds`` on R^N."""
+    if not isinstance(f, kinds):
+        raise TypeError("unsupported function type %r" % type(f).__name__)
+    if f.dim != spec.dim:
+        raise ValueError("dimension mismatch between spec and f")
+    X = np.asarray(X, dtype=float)
+    if X.shape != (spec.dim,):
+        raise ValueError("X must be a point in R^%d" % spec.dim)
+    return X
+
+
+def _mc_means(f, mu, A, quad):
+    """Replicate means of f(mu + A W) over the shared draw set of ``quad``."""
+    draws = _mc_draws(mu.shape[0], quad.mc_samples, quad.rng_seed)
+    means = np.empty(MC_REPLICATES)
+    for i in range(MC_REPLICATES):
+        Y = A @ draws[i]
+        Y += mu[:, None]
+        # Y.T is a column-major (per, dim) view, like the blocks of _grid_blocks
+        means[i] = float(np.mean(f.value(Y.T)))
+    return means
 
 
 def apply_semigroup_report(
@@ -231,28 +264,13 @@ def apply_semigroup_report(
     standard error.
     """
     t = _check_time(t)
-    if not isinstance(f, (TestFunction, CompactBump, ModulatedBump)):
-        raise TypeError("unsupported function type %r" % type(f).__name__)
-    if f.dim != spec.dim:
-        raise ValueError("dimension mismatch between spec and f")
-    X = np.asarray(X, dtype=float)
-    if X.shape != (spec.dim,):
-        raise ValueError("X must be a point in R^%d" % spec.dim)
-
+    X = _check_input(spec, f, X, (TestFunction, CompactBump, ModulatedBump))
     if isinstance(f, TestFunction):
         value = exact_semigroup_oracle(spec, f, t, X)
         return SemigroupValue(value=value, stderr=0.0, method="closed-form")
 
     g = gramians(spec, t)
-    mu = g.exp_tB @ X
-    A = math.sqrt(2.0 * t) * sym_sqrt(g.K_t)
-    draws = _mc_draws(spec.dim, quad.mc_samples, quad.rng_seed)
-    means = np.empty(MC_REPLICATES)
-    for i in range(MC_REPLICATES):
-        Y = A @ draws[i]
-        Y += mu[:, None]
-        # Y.T is a column-major (per, dim) view, like the blocks of _grid_blocks
-        means[i] = float(np.mean(f.value(Y.T)))
+    means = _mc_means(f, g.exp_tB @ X, math.sqrt(2.0 * t) * sym_sqrt(g.K_t), quad)
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(MC_REPLICATES))
     return SemigroupValue(value=value, stderr=stderr, method="monte-carlo")
@@ -276,21 +294,25 @@ def semigroup_gradient(spec: OperatorSpec, f: TestFunction, t, X) -> np.ndarray:
     channel.
     """
     t = _check_time(t)
-    if not isinstance(f, TestFunction):
-        raise TypeError("unsupported function type %r" % type(f).__name__)
-    if f.dim != spec.dim:
-        raise ValueError("dimension mismatch between spec and f")
-    X = np.asarray(X, dtype=float)
-    if X.shape != (spec.dim,):
-        raise ValueError("X must be a point in R^%d" % spec.dim)
+    X = _check_input(spec, f, X, TestFunction)
     return exact_semigroup_oracle(spec, f, t, X, gradient=True)
 
 
 def _poisson_profile(spec, f, ts, X, quad):
-    """Semigroup values along a time grid: closed form for the family."""
+    """P_t f(X) at every time of ``ts`` from one Gramian profile.
+
+    Closed form for the family.  A compact profile takes one Monte Carlo
+    mean per time on the shared draw set; the means e^{tB} X and the
+    sampling factors (2 tK(t))^{1/2} are batched over the grid.
+    """
     if isinstance(f, TestFunction):
         return exact_semigroup_profile(spec, f, ts, X)
-    return np.array([apply_semigroup(spec, f, float(t), X, quad) for t in ts])
+    X = _check_input(spec, f, X, (CompactBump, ModulatedBump))
+    prof = gramian_profile(spec, ts)
+    roots = sym_sqrt(2.0 * prof.tK_t)
+    return np.array(
+        [np.mean(_mc_means(f, mu, A, quad)) for mu, A in zip(prof.exp_tB @ X, roots)]
+    )
 
 
 def apply_poisson(
@@ -313,7 +335,7 @@ def apply_poisson(
     ``quad.time_nodes // 2`` nodes, so a call evaluates P_t f at
     ``2 * (time_nodes // 2) + 1`` times, one of them at the cap
     (``time_nodes // 2 + 1`` when z^2 lies past the cap and the second
-    side is empty).
+    side is empty).  The times form one grid with one Gramian profile.
     """
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
@@ -329,30 +351,32 @@ def apply_poisson(
     # erf increment; t_cap also keeps e^{+-tB} and C(t) inside float range
     rate = float(np.max(np.abs(np.linalg.eigvals(spec.B).real)))
     t_cap = 300.0 / rate if rate > 1e-12 else 1e10
-    p_cap = float(_poisson_profile(spec, f, np.array([t_cap]), X, quad)[0])
 
     # head: t in (0, min(z^2, t_cap)] under t = z^2 w^2; the weight
     # pi^{-1/2} w^{-2} e^{-1/(4w^2)} is flat at w = 0
     w_cap = min(math.sqrt(t_cap) / z, 1.0)
     w_nodes = w_cap * 0.5 * (nodes + 1.0)
     w_weights = w_cap * 0.5 * weights
-    head_vals = _poisson_profile(spec, f, z**2 * w_nodes**2, X, quad)
+
+    # tail: t in [z^2, t_cap] under t = z^2 e^{2s}; the log axis keeps the
+    # profile's transition scale order-one for every z; empty past the cap
+    v_min = min(z / math.sqrt(t_cap), 1.0)
+    s_max = -math.log(v_min)
+    tail_n = half if v_min < 1.0 else 0
+    s_nodes = s_max * 0.5 * (nodes[:tail_n] + 1.0)
+    s_weights = s_max * 0.5 * weights[:tail_n]
+
+    # the whole time grid (cap, head, tail) in one profile
+    ts = np.concatenate(([t_cap], z**2 * w_nodes**2, z**2 * np.exp(2.0 * s_nodes)))
+    vals = _poisson_profile(spec, f, ts, X, quad)
+    p_cap, head_vals, tail_vals = float(vals[0]), vals[1 : half + 1], vals[half + 1 :]
+
     head_weight = w_nodes**-2.0 * np.exp(-0.25 * w_nodes**-2.0)
     head = float((w_weights * head_weight) @ head_vals) / sqrt_pi
     if w_cap < 1.0:
         head += p_cap * (math.erf(0.5 / w_cap) - math.erf(0.5))
-
-    # tail: t in [z^2, t_cap] under t = z^2 e^{2s}; the log axis keeps the
-    # profile's transition scale order-one for every z
-    v_min = min(z / math.sqrt(t_cap), 1.0)
-    tail = 0.0
-    if v_min < 1.0:
-        s_max = -math.log(v_min)
-        s_nodes = s_max * 0.5 * (nodes + 1.0)
-        s_weights = s_max * 0.5 * weights
-        v = np.exp(-s_nodes)
-        tail_vals = _poisson_profile(spec, f, z**2 * np.exp(2.0 * s_nodes), X, quad)
-        tail = float((s_weights * np.exp(-0.25 * v**2) * v) @ tail_vals) / sqrt_pi
+    v = np.exp(-s_nodes)
+    tail = float((s_weights * np.exp(-0.25 * v**2) * v) @ tail_vals) / sqrt_pi
     return head + tail + p_cap * math.erf(0.5 * v_min)
 
 

@@ -528,11 +528,22 @@ class CompactBump:
         return self.center.shape[0]
 
     def value(self, Y):
-        r = np.linalg.norm(np.asarray(Y, dtype=float) - self.center, axis=-1)
-        width = self.outer_radius - self.inner_radius
-        s = np.clip((r - self.inner_radius) / width, 0.0, 1.0)
-        out = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
-        return out if out.ndim else float(out)
+        w = np.asarray(Y, dtype=float) - self.center
+        # a single point sums to a 0-d result, which takes no out=
+        s = np.atleast_1d(np.einsum("...i,...i->...", w, w))
+        np.sqrt(s, out=s)
+        s -= self.inner_radius
+        s /= self.outer_radius - self.inner_radius
+        np.clip(s, 0.0, 1.0, out=s)
+        # 1 - s^3 (10 - 15 s + 6 s^2) in Horner form, without a power
+        out = 6.0 * s
+        out -= 15.0
+        out *= s
+        out += 10.0
+        for _ in range(3):
+            out *= s
+        np.subtract(1.0, out, out=out)
+        return out if w.ndim > 1 else float(out[0])
 
 
 @dataclass(frozen=True, eq=False)

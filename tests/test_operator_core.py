@@ -22,6 +22,7 @@ from hypok.operator_core import (
     logdet_derivative_identity,
     matrix_exponential,
     ornstein_uhlenbeck,
+    sym_sqrt,
 )
 
 
@@ -71,6 +72,18 @@ class TestMatrixExponential:
         lhs = matrix_exponential(B, s + t)
         rhs = matrix_exponential(B, s) @ matrix_exponential(B, t)
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-12 * np.linalg.norm(lhs, 2)
+
+
+class TestSymSqrt:
+    def test_stack_matches_one_by_one(self):
+        rng = np.random.default_rng(12)
+        L = rng.normal(size=(5, 3, 3))
+        M = L @ np.swapaxes(L, -1, -2)
+        roots = sym_sqrt(M)
+        assert roots.shape == (5, 3, 3)
+        for Mi, Ri in zip(M, roots):
+            assert_allclose(Ri, sym_sqrt(Mi), rtol=1e-15, atol=0.0)
+            assert_allclose(Ri @ Ri, Mi, rtol=1e-12, atol=1e-14)
 
 
 class TestGramians:

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
 
+import hypok.semigroup as semigroup_module
+import hypok.testfuncs as testfuncs_module
 from hypok.operator_core import (
     DomainError,
     KernelConstants,
+    _gramian_bundle,
     gramians,
     heat,
     kolmogorov,
@@ -566,6 +569,49 @@ class TestApplyPoisson:
         # a mean over 2^16 common draws, each a weighted time integral of
         # a [0, 1]-valued bump: standard deviation at most 0.5 / 2^8
         assert abs(got - ref) <= 6.0 * 0.5 / 2**8
+
+    @pytest.mark.parametrize(
+        "spec",
+        [heat(2), kolmogorov(1), ornstein_uhlenbeck(2)],
+        ids=["heat2", "kolmogorov1", "ou2"],
+    )
+    @pytest.mark.parametrize("modulated", [False, True], ids=["bump", "modulated"])
+    def test_monte_carlo_matches_per_node_loop(self, monkeypatch, spec, modulated):
+        quad = QuadratureSpec(mc_samples=2**12)
+        f = CompactBump(np.array([0.2, -0.1]), 0.3, 0.9)
+        if modulated:
+            f = ModulatedBump(f, gaussian(np.array([-0.2, 0.1]), 0.8 * np.eye(2), monomial=(1, 0)))
+        X, z = np.array([0.1, 0.3]), 0.7
+        got = apply_poisson(spec, f, z, X, quad)
+
+        def per_node(spec, f, ts, X, quad):
+            # one full apply_semigroup, with its own Gramian bundle, per time
+            return np.array([apply_semigroup(spec, f, float(t), X, quad) for t in ts])
+
+        monkeypatch.setattr(semigroup_module, "_poisson_profile", per_node)
+        want = apply_poisson(spec, f, z, X, quad)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["bump", "closed-form"])
+    def test_one_gramian_profile_per_call(self, monkeypatch, kind):
+        calls = []
+        original = semigroup_module.gramian_profile
+
+        def counted(spec, ts):
+            calls.append(np.size(ts))
+            return original(spec, ts)
+
+        monkeypatch.setattr(semigroup_module, "gramian_profile", counted)
+        monkeypatch.setattr(testfuncs_module, "gramian_profile", counted)
+        if kind == "bump":
+            f = CompactBump(np.zeros(2), 0.3, 0.8)
+        else:
+            f = gaussian(np.zeros(2), np.eye(2), monomial=(1, 1))
+        quad = QuadratureSpec(mc_samples=1024)
+        before = _gramian_bundle.cache_info()
+        apply_poisson(kolmogorov(1), f, 0.6, np.array([0.2, -0.4]), quad)
+        assert calls == [201]
+        assert _gramian_bundle.cache_info() == before
 
     def test_rejects_bad_z(self):
         with pytest.raises(DomainError):

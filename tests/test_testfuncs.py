@@ -335,6 +335,32 @@ class TestCompactBump:
         with pytest.raises(ValueError):
             CompactBump(np.zeros(2), 2.0, 1.0)
 
+    def test_matches_power_form_over_radial_sweep(self):
+        center = np.array([0.3, -0.2, 0.1])
+        bump = CompactBump(center, 0.4, 1.3)
+        r = np.linspace(0.0, 1.6, 4001)
+        direction = np.array([2.0, -1.0, 2.0]) / 3.0
+        # column-major, like the Monte Carlo and grid blocks
+        Y = np.asfortranarray(center + r[:, None] * direction)
+        s = np.clip((r - 0.4) / 0.9, 0.0, 1.0)
+        want = 1.0 - s**3 * (10.0 - 15.0 * s + 6.0 * s**2)
+        assert_allclose(bump.value(Y), want, rtol=0.0, atol=1e-14)
+        assert_allclose(bump.value(np.ascontiguousarray(Y)), want, rtol=0.0, atol=1e-14)
+
+    def test_single_point_gives_float(self):
+        bump = CompactBump(np.zeros(2), 1.0, 2.0)
+        for point in (np.array([0.5, 0.5]), [1.2, 0.0], np.array([3.0, 0.0])):
+            assert type(bump.value(point)) is float
+
+    def test_accepts_read_only_block(self):
+        bump = CompactBump(np.zeros(2), 1.0, 2.0)
+        Y = np.random.default_rng(6).uniform(-2.5, 2.5, size=(300, 2))
+        want = bump.value(Y)
+        Y.setflags(write=False)
+        got = bump.value(Y)
+        assert got.shape == (300,)
+        assert_allclose(got, want, rtol=0.0, atol=0.0)
+
 
 class TestModulatedBump:
     def test_product_rule(self):

@@ -7,21 +7,28 @@ Compactly supported profiles, which have no closed form, go to a
 counter-based Monte Carlo fallback that reports its standard error;
 its draws are generated once per (N, sample count, seed) and shared by
 every call, so the values along a Poisson time grid use common random
-numbers.  The Poisson semigroup
-is subordinated to P_t with the time axis split at t = z^2 and mapped
-onto (0, 1] on each side, so both the flat short-time end and the
-algebraic long-time decay are analytic in the quadrature variable.
+numbers.  A bump is radial, so its sampled points are never built: the
+draw set also holds the products w_i w_j of its coordinates, and the
+squared radii |A w + m|^2 of a block of ``MC_NODE_BLOCK`` times come
+from one small matrix product per replicate.  Only a ModulatedBump
+builds the points, for its Gaussian-polynomial factor.  The Poisson
+semigroup is subordinated to P_t with the time axis split at t = z^2
+and mapped onto (0, 1] on each side, so both the flat short-time end
+and the algebraic long-time decay are analytic in the quadrature
+variable.
 A Poisson call builds its whole time grid first and takes one Gramian
 profile for it: the closed form is batched over the grid, and a compact
-profile takes one Monte Carlo mean per time from the batched means
-e^{tB} X and sampling factors (2 tK(t))^{1/2}, leaving the per-time
-Gramian memo untouched.
+profile takes its Monte Carlo means for the whole grid in one pass over
+node blocks, from the batched means e^{tB} X and sampling factors
+(2 tK(t))^{1/2}, leaving the per-time Gramian memo untouched.
 
 Every tensor grid (Gauss-Legendre and uniform, for the norms) is summed
 in C-order blocks of at most ``GRID_BLOCK`` points, so no full grid is
-ever held in memory.  Blocks and default Monte Carlo replicates hold
-8192 points, so a coordinate array (64 KB) stays below glibc's default
-128 KB mmap threshold and its temporaries are reused from the heap.
+ever held in memory.  Blocks hold 8192 points, so a coordinate array
+(64 KB) stays below glibc's default 128 KB mmap threshold and its
+temporaries are reused from the heap.  A Monte Carlo call allocates its
+two node-block buffers (256 KB each at the default 8192 draws per
+replicate) once and reuses them for every block.
 
 Kernel L^r norms over the first kernel slot are Gaussian integrals in
 closed form, value = c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r} with
@@ -77,9 +84,12 @@ __all__ = [
 ]
 
 MC_REPLICATES = 8
-# Monte Carlo draw sets kept by _mc_draws; at the default mc_samples one
-# holds 2^16 * N floats (1 MB for N = 2)
+# Monte Carlo draw sets kept by _mc_draw_set; at the default mc_samples
+# one holds 2^16 * (N + N (N + 1) / 2) floats (2.6 MB for N = 2)
 MC_DRAWS_CACHE_SIZE = 8
+# time nodes whose squared radii one matrix product gives; a block of
+# the default 8192 draws per replicate is then a 256 KB buffer
+MC_NODE_BLOCK = 4
 # points per block of a tensor grid; bounds the memory of every grid sum.
 # One coordinate or value array of a block is then 64 KB, below glibc's
 # default 128 KB mmap threshold, so the temporaries of each block are
@@ -95,10 +105,13 @@ class QuadratureSpec:
     512)`` standard normal points, so ``mc_samples=1024`` draws 4096.
     The draw set is built once per ``(dim, mc_samples, rng_seed)`` and
     shared by every call, whatever its time, point or function: values
-    at different times use common random numbers.  Each replicate is
-    evaluated as one chunk; the default ``mc_samples`` makes it 8192
-    points, a 64 KB array per coordinate, which keeps its temporaries
-    below glibc's default 128 KB mmap threshold.
+    at different times use common random numbers.  It keeps the products
+    w_i w_j (i <= j) next to the draws, ``N + N (N + 1) / 2`` rows of
+    floats per sample: 5 rows x 65 536 floats = 2.6 MB at N = 2 with the
+    default ``mc_samples``, where the draws alone take 1 MB.  Bump values
+    are read off squared radii, which one matrix product per replicate
+    gives for a block of ``MC_NODE_BLOCK`` time nodes; each replicate is
+    one chunk, 8192 points at the default ``mc_samples``.
 
     :func:`apply_poisson` splits its time axis in two halves of
     ``time_nodes // 2`` Gauss-Legendre nodes each, so a call evaluates
@@ -208,24 +221,38 @@ def _grid_blocks(rule, order, dim, scale=1.0):
 
 
 @lru_cache(maxsize=MC_DRAWS_CACHE_SIZE)
-def _mc_draws(dim, mc_samples, rng_seed):
-    """Read-only standard normal draws of shape (MC_REPLICATES, dim, per).
+def _mc_draw_set(dim, mc_samples, rng_seed):
+    """Read-only rows (MC_REPLICATES, dim + dim (dim + 1) / 2, per) of draws.
 
-    Replicate i is the stream of Philox(key=[rng_seed, i]) drawn as
-    (per, dim) and stored transposed, so each coordinate is a row and
-    elementwise work on the points runs along the long axis.
+    The first ``dim`` rows of replicate i are the standard normal stream
+    of Philox(key=[rng_seed, i]) drawn as (per, dim) and stored
+    transposed, so each coordinate is a row and elementwise work on the
+    points runs along the long axis.  The other rows are the products
+    w_i w_j (i <= j, in ``np.triu_indices`` order), so a squared radius
+    |A w + m|^2 is one linear combination of the rows plus |m|^2.  At
+    the default mc_samples one set holds 5 rows x 2^16 floats (2.6 MB)
+    for N = 2 and 14 rows (7.3 MB) for N = 4.
     """
     per = max(mc_samples // MC_REPLICATES, 512)
-    draws = np.stack(
-        [
-            np.random.Generator(np.random.Philox(key=[rng_seed, i]))
-            .standard_normal(size=(per, dim))
-            .T
-            for i in range(MC_REPLICATES)
-        ]
-    )
-    draws.setflags(write=False)
-    return draws
+    i, j = np.triu_indices(dim)
+    rows = np.empty((MC_REPLICATES, dim + i.size, per))
+    for k in range(MC_REPLICATES):
+        rng = np.random.Generator(np.random.Philox(key=[rng_seed, k]))
+        w = rows[k, :dim]
+        w[...] = rng.standard_normal(size=(per, dim)).T
+        np.multiply(w[i], w[j], out=rows[k, dim:])
+    rows.setflags(write=False)
+    return rows
+
+
+def _mc_draws(dim, mc_samples, rng_seed):
+    """Read-only Philox draws (MC_REPLICATES, dim, per) of the draw set.
+
+    A view of the first ``dim`` rows of :func:`_mc_draw_set`, so the
+    draws and their products are one cache entry of 2.6 MB at N = 2 and
+    the default mc_samples (the draws alone are 1 MB of it).
+    """
+    return _mc_draw_set(dim, mc_samples, rng_seed)[:, :dim]
 
 
 def _check_input(spec, f, X, kinds):
@@ -240,15 +267,46 @@ def _check_input(spec, f, X, kinds):
     return X
 
 
-def _mc_means(f, mu, A, quad):
-    """Replicate means of f(mu + A W) over the shared draw set of ``quad``."""
-    draws = _mc_draws(mu.shape[0], quad.mc_samples, quad.rng_seed)
-    means = np.empty(MC_REPLICATES)
-    for i in range(MC_REPLICATES):
-        Y = A @ draws[i]
-        Y += mu[:, None]
-        # Y.T is a column-major (per, dim) view, like the blocks of _grid_blocks
-        means[i] = float(np.mean(f.value(Y.T)))
+def _mc_means(f, mus, roots, quad):
+    """Replicate means (K, MC_REPLICATES) of f(mu_k + A_k W), k < K.
+
+    W runs over the shared draw set of ``quad``.  The bump is radial, so
+    its values need only the squared radius |A w + m|^2 with m = mu -
+    center, which is w'(A'A) w + 2 (A'm)'w + |m|^2: linear in the rows
+    of the draw set.  The nodes go in blocks of MC_NODE_BLOCK, each
+    block one small matrix product per replicate; the buffers are
+    reused across blocks.  Only a ModulatedBump builds the points, for
+    its Gaussian-polynomial factor.
+    """
+    n = mus.shape[1]
+    rows = _mc_draw_set(n, quad.mc_samples, quad.rng_seed)
+    bump, factor = (f.bump, f.f) if isinstance(f, ModulatedBump) else (f, None)
+    m = mus - bump.center
+    M = np.swapaxes(roots, -1, -2) @ roots
+    i, j = np.triu_indices(n)
+    # off-diagonal products stand for both w_i w_j and w_j w_i
+    coef = np.concatenate(
+        [2.0 * np.einsum("kji,kj->ki", roots, m), np.where(i == j, 1.0, 2.0) * M[:, i, j]],
+        axis=1,
+    )
+    shift = np.einsum("ki,ki->k", m, m)[:, None]
+    K = mus.shape[0]
+    means = np.empty((K, MC_REPLICATES))
+    r2 = np.empty((min(K, MC_NODE_BLOCK), rows.shape[2]))
+    vals = np.empty_like(r2)
+    for rep in range(MC_REPLICATES):
+        for lo in range(0, K, MC_NODE_BLOCK):
+            blk = slice(lo, min(lo + MC_NODE_BLOCK, K))
+            b_r2, b_vals = r2[: blk.stop - lo], vals[: blk.stop - lo]
+            np.matmul(coef[blk], rows[rep], out=b_r2)
+            b_r2 += shift[blk]
+            bump.profile(b_r2, out=b_vals)
+            if factor is not None:
+                Y = roots[blk] @ rows[rep, :n]
+                Y += mus[blk, :, None]
+                # (nodes, per, N) views, column-major like the grid blocks
+                b_vals *= factor.value(np.swapaxes(Y, 1, 2))
+            means[blk, rep] = np.mean(b_vals, axis=1)
     return means
 
 
@@ -270,7 +328,8 @@ def apply_semigroup_report(
         return SemigroupValue(value=value, stderr=0.0, method="closed-form")
 
     g = gramians(spec, t)
-    means = _mc_means(f, g.exp_tB @ X, math.sqrt(2.0 * t) * sym_sqrt(g.K_t), quad)
+    root = math.sqrt(2.0 * t) * sym_sqrt(g.K_t)
+    means = _mc_means(f, (g.exp_tB @ X)[None], root[None], quad)[0]
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(MC_REPLICATES))
     return SemigroupValue(value=value, stderr=stderr, method="monte-carlo")
@@ -302,17 +361,16 @@ def _poisson_profile(spec, f, ts, X, quad):
     """P_t f(X) at every time of ``ts`` from one Gramian profile.
 
     Closed form for the family.  A compact profile takes one Monte Carlo
-    mean per time on the shared draw set; the means e^{tB} X and the
-    sampling factors (2 tK(t))^{1/2} are batched over the grid.
+    mean per time on the shared draw set, all times in one blocked pass
+    of :func:`_mc_means`; the means e^{tB} X and the sampling factors
+    (2 tK(t))^{1/2} are batched over the grid.
     """
     if isinstance(f, TestFunction):
         return exact_semigroup_profile(spec, f, ts, X)
     X = _check_input(spec, f, X, (CompactBump, ModulatedBump))
     prof = gramian_profile(spec, ts)
-    roots = sym_sqrt(2.0 * prof.tK_t)
-    return np.array(
-        [np.mean(_mc_means(f, mu, A, quad)) for mu, A in zip(prof.exp_tB @ X, roots)]
-    )
+    means = _mc_means(f, prof.exp_tB @ X, sym_sqrt(2.0 * prof.tK_t), quad)
+    return np.mean(means, axis=1)
 
 
 def apply_poisson(

@@ -528,22 +528,46 @@ class CompactBump:
         return self.center.shape[0]
 
     def value(self, Y):
-        w = np.asarray(Y, dtype=float) - self.center
-        # a single point sums to a 0-d result, which takes no out=
-        s = np.atleast_1d(np.einsum("...i,...i->...", w, w))
+        """Evaluate at ``Y`` with shape ``(..., N)``; returns ``(...,)``.
+
+        The squared radius is summed coordinate by coordinate, so points
+        in C order and in column-major order cost the same and give
+        bit-identical values.
+        """
+        Y = np.asarray(Y, dtype=float)
+        if Y.shape[-1:] != (self.dim,):
+            raise ValueError("points must have trailing dimension %d" % self.dim)
+        # a single point gives a 0-d difference, which takes no out=
+        r2 = np.atleast_1d(Y[..., 0] - self.center[0])
+        r2 *= r2
+        for k in range(1, self.dim):
+            d = Y[..., k] - self.center[k]
+            d *= d
+            r2 += d
+        out = self.profile(r2)
+        return out if Y.ndim > 1 else float(out[0])
+
+    def profile(self, r2, out=None):
+        """Bump values at squared radii ``r2 = |Y - center|^2``, any shape.
+
+        Works in place: ``r2`` must be a writable float array and is
+        overwritten; the values go to ``out`` (a new array if None).
+        Squared radii that rounding left below 0 count as 0.
+        """
+        s = np.maximum(r2, 0.0, out=r2)
         np.sqrt(s, out=s)
         s -= self.inner_radius
         s /= self.outer_radius - self.inner_radius
         np.clip(s, 0.0, 1.0, out=s)
         # 1 - s^3 (10 - 15 s + 6 s^2) in Horner form, without a power
-        out = 6.0 * s
+        out = np.multiply(6.0, s, out=out)
         out -= 15.0
         out *= s
         out += 10.0
         for _ in range(3):
             out *= s
         np.subtract(1.0, out, out=out)
-        return out if w.ndim > 1 else float(out[0])
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 """Tests for semigroup application, Poisson subordination, kernel norms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from hypok.semigroup import (
     sup_norm,
     ultracontractivity_check,
     ultracontractivity_constant,
+    _mc_draw_set,
     _mc_draws,
 )
 from hypok.testfuncs import (
@@ -393,27 +395,53 @@ class TestMonteCarloFallback:
     def test_draws_are_built_once(self):
         quad = QuadratureSpec(time_nodes=80, mc_samples=1024, rng_seed=99)
         spec, bump = heat(2), CompactBump(np.zeros(2), 0.3, 0.8)
-        _mc_draws.cache_clear()
+        _mc_draw_set.cache_clear()
         for t in (0.1, 0.1, 0.7):
             apply_semigroup_report(spec, bump, t, np.zeros(2), quad)
         apply_poisson(spec, bump, 0.5, np.zeros(2), quad)
-        info = _mc_draws.cache_info()
-        assert info.misses == 1 and info.hits > 80
+        # one build, then one lookup per call
+        info = _mc_draw_set.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
-    @pytest.mark.parametrize("spec", [kolmogorov(1), heat(3)], ids=["kolmogorov1", "heat3"])
+    @pytest.mark.parametrize(
+        "spec", [kolmogorov(1), heat(3), kolmogorov(2)], ids=["kolmogorov1", "heat3", "kolmogorov2"]
+    )
     @pytest.mark.parametrize("modulated", [False, True], ids=["bump", "modulated"])
     def test_matches_fresh_draw_loop(self, spec, modulated):
         n = spec.dim
-        f = CompactBump(np.full(n, 0.1), 0.4, 1.1)
-        if modulated:
-            monomial = (1,) + (0,) * (n - 1)
-            f = ModulatedBump(f, gaussian(np.full(n, -0.2), 0.8 * np.eye(n), monomial=monomial))
         X = np.linspace(-0.3, 0.4, n)
+        factor = gaussian(np.full(n, -0.2), 0.8 * np.eye(n), monomial=(1,) + (0,) * (n - 1))
+        away = np.linspace(1.0, -0.5, n) / np.linalg.norm(np.linspace(1.0, -0.5, n))
         for t in (0.05, 1.3):
-            got = apply_semigroup_report(spec, f, t, X)
-            value, stderr = mc_loop_reference(spec, f, t, X)
-            assert got.value == pytest.approx(value, rel=1e-13, abs=0.0)
-            assert got.stderr == pytest.approx(stderr, rel=1e-13, abs=0.0)
+            # near, and 30 away with the transition ring through the cloud,
+            # where |m|^2 = 900 dominates the expanded squared radius
+            far = gramians(spec, t).exp_tB @ X + 30.0 * away
+            for bump in (CompactBump(np.full(n, 0.1), 0.4, 1.1), CompactBump(far, 29.6, 30.6)):
+                f = ModulatedBump(bump, factor) if modulated else bump
+                got = apply_semigroup_report(spec, f, t, X)
+                value, stderr = mc_loop_reference(spec, f, t, X)
+                assert got.value == pytest.approx(value, rel=1e-13, abs=0.0)
+                assert got.stderr == pytest.approx(stderr, rel=1e-13, abs=0.0)
+
+    def test_bump_at_the_mean_of_a_degenerate_kernel_is_one(self):
+        # at t = 1e-9 the kolmogorov(1) covariance has eigenvalues 2e-9 and
+        # 2e-28; every squared radius is below 1e-8, rounding may take one
+        # below 0, and the bump must still read exactly 1
+        spec, t, X = kolmogorov(1), 1e-9, np.array([0.3, -0.2])
+        bump = CompactBump(gramians(spec, t).exp_tB @ X, 0.4, 1.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = apply_semigroup_report(spec, bump, t, X)
+        assert got.value == 1.0 and got.stderr == 0.0
+
+    def test_draw_set_rows_are_the_draw_products(self):
+        rows = _mc_draw_set(3, 2**12, 5)
+        draws = _mc_draws(3, 2**12, 5)
+        i, j = np.triu_indices(3)
+        assert rows.shape == (MC_REPLICATES, 9, 2**12 // MC_REPLICATES)
+        assert not rows.flags.writeable
+        assert np.array_equal(rows[:, :3], draws)
+        assert np.array_equal(rows[:, 3:], draws[:, i] * draws[:, j])
 
 
 class TestSemigroupGradient:
@@ -525,14 +553,27 @@ class TestApplyPoisson:
         assert apply_poisson(spec, f, z, X) == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("nodes, times", [(80, 81), (81, 81), (200, 201)])
-    def test_time_nodes_are_honoured(self, nodes, times):
+    def test_time_nodes_are_honoured(self, monkeypatch, nodes, times):
         # each profile time is one Monte Carlo value on the shared draws
+        sizes, means = [], []
+        profile, mc_means = semigroup_module.gramian_profile, semigroup_module._mc_means
+
+        def counted_profile(spec, ts):
+            sizes.append(np.size(ts))
+            return profile(spec, ts)
+
+        def counted_means(*args):
+            out = mc_means(*args)
+            means.append(out.shape)
+            return out
+
+        monkeypatch.setattr(semigroup_module, "gramian_profile", counted_profile)
+        monkeypatch.setattr(semigroup_module, "_mc_means", counted_means)
         quad = QuadratureSpec(time_nodes=nodes, mc_samples=1024)
         bump = CompactBump(np.zeros(2), 0.3, 0.8)
-        _mc_draws.cache_clear()
         apply_poisson(heat(2), bump, 0.5, np.zeros(2), quad)
-        info = _mc_draws.cache_info()
-        assert info.hits + info.misses == times
+        assert sizes == [times]
+        assert means == [(times, MC_REPLICATES)]
 
     def test_time_nodes_floor(self):
         with pytest.raises(ValueError):

@@ -347,6 +347,22 @@ class TestCompactBump:
         assert_allclose(bump.value(Y), want, rtol=0.0, atol=1e-14)
         assert_allclose(bump.value(np.ascontiguousarray(Y)), want, rtol=0.0, atol=1e-14)
 
+    def test_layouts_give_identical_values(self):
+        bump = CompactBump(np.array([0.3, -0.2, 0.1]), 0.4, 1.3)
+        Y = np.random.default_rng(8).uniform(-1.5, 1.5, size=(3, 5000)).T
+        assert not Y.flags.c_contiguous
+        assert np.array_equal(bump.value(Y), bump.value(np.ascontiguousarray(Y)))
+
+    def test_profile_reads_negative_squared_radii_as_zero(self):
+        bump = CompactBump(np.zeros(2), 1.0, 2.0)
+        with np.errstate(all="raise"):
+            vals = bump.profile(np.array([-1e-30, 0.0, 2.25, 9.0]))
+        assert_allclose(vals, [1.0, 1.0, 0.5, 0.0], rtol=0.0, atol=0.0)
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(ValueError):
+            CompactBump(np.zeros(2), 1.0, 2.0).value(np.zeros((4, 3)))
+
     def test_single_point_gives_float(self):
         bump = CompactBump(np.zeros(2), 1.0, 2.0)
         for point in (np.array([0.5, 0.5]), [1.2, 0.0], np.array([3.0, 0.0])):

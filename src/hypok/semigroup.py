@@ -106,12 +106,9 @@ class QuadratureSpec:
     The draw set is built once per ``(dim, mc_samples, rng_seed)`` and
     shared by every call, whatever its time, point or function: values
     at different times use common random numbers.  It keeps the products
-    w_i w_j (i <= j) next to the draws, ``N + N (N + 1) / 2`` rows of
-    floats per sample: 5 rows x 65 536 floats = 2.6 MB at N = 2 with the
-    default ``mc_samples``, where the draws alone take 1 MB.  Bump values
-    are read off squared radii, which one matrix product per replicate
-    gives for a block of ``MC_NODE_BLOCK`` time nodes; each replicate is
-    one chunk, 8192 points at the default ``mc_samples``.
+    w_i w_j (i <= j) next to the draws, ``N + N (N + 1) / 2`` floats per
+    sample: 5 rows x 65 536 floats = 2.6 MB at N = 2 with the default
+    ``mc_samples``, where the draws alone take 1 MB.
 
     :func:`apply_poisson` splits its time axis in two halves of
     ``time_nodes // 2`` Gauss-Legendre nodes each, so a call evaluates
@@ -220,6 +217,17 @@ def _grid_blocks(rule, order, dim, scale=1.0):
         yield block, block_w
 
 
+@lru_cache(maxsize=None)
+def _pairs(dim):
+    """Index pairs i <= j of the product rows and their weight in w'M w."""
+    i, j = np.triu_indices(dim)
+    # an off-diagonal product stands for both w_i w_j and w_j w_i
+    weight = np.where(i == j, 1.0, 2.0)
+    for a in (i, j, weight):
+        a.setflags(write=False)
+    return i, j, weight
+
+
 @lru_cache(maxsize=MC_DRAWS_CACHE_SIZE)
 def _mc_draw_set(dim, mc_samples, rng_seed):
     """Read-only rows (MC_REPLICATES, dim + dim (dim + 1) / 2, per) of draws.
@@ -230,11 +238,10 @@ def _mc_draw_set(dim, mc_samples, rng_seed):
     points runs along the long axis.  The other rows are the products
     w_i w_j (i <= j, in ``np.triu_indices`` order), so a squared radius
     |A w + m|^2 is one linear combination of the rows plus |m|^2.  At
-    the default mc_samples one set holds 5 rows x 2^16 floats (2.6 MB)
-    for N = 2 and 14 rows (7.3 MB) for N = 4.
+    the default mc_samples a set is 2.6 MB for N = 2, 7.3 MB for N = 4.
     """
     per = max(mc_samples // MC_REPLICATES, 512)
-    i, j = np.triu_indices(dim)
+    i, j, _ = _pairs(dim)
     rows = np.empty((MC_REPLICATES, dim + i.size, per))
     for k in range(MC_REPLICATES):
         rng = np.random.Generator(np.random.Philox(key=[rng_seed, k]))
@@ -246,11 +253,9 @@ def _mc_draw_set(dim, mc_samples, rng_seed):
 
 
 def _mc_draws(dim, mc_samples, rng_seed):
-    """Read-only Philox draws (MC_REPLICATES, dim, per) of the draw set.
-
-    A view of the first ``dim`` rows of :func:`_mc_draw_set`, so the
-    draws and their products are one cache entry of 2.6 MB at N = 2 and
-    the default mc_samples (the draws alone are 1 MB of it).
+    """Read-only Philox draws (MC_REPLICATES, dim, per): the first rows
+    of the draw set, whose one cache entry is 2.6 MB at N = 2 and the
+    default mc_samples (1 MB of it the draws, the rest their products).
     """
     return _mc_draw_set(dim, mc_samples, rng_seed)[:, :dim]
 
@@ -283,13 +288,10 @@ def _mc_means(f, mus, roots, quad):
     bump, factor = (f.bump, f.f) if isinstance(f, ModulatedBump) else (f, None)
     m = mus - bump.center
     M = np.swapaxes(roots, -1, -2) @ roots
-    i, j = np.triu_indices(n)
-    # off-diagonal products stand for both w_i w_j and w_j w_i
-    coef = np.concatenate(
-        [2.0 * np.einsum("kji,kj->ki", roots, m), np.where(i == j, 1.0, 2.0) * M[:, i, j]],
-        axis=1,
-    )
-    shift = np.einsum("ki,ki->k", m, m)[:, None]
+    i, j, weight = _pairs(n)
+    # row k: 2 (A_k' m_k)' and the weighted entries of A_k' A_k
+    coef = np.concatenate([2.0 * (m[:, None, :] @ roots)[:, 0], weight * M[:, i, j]], axis=1)
+    shift = np.sum(m * m, axis=1, keepdims=True)
     K = mus.shape[0]
     means = np.empty((K, MC_REPLICATES))
     r2 = np.empty((min(K, MC_NODE_BLOCK), rows.shape[2]))
@@ -306,7 +308,8 @@ def _mc_means(f, mus, roots, quad):
                 Y += mus[blk, :, None]
                 # (nodes, per, N) views, column-major like the grid blocks
                 b_vals *= factor.value(np.swapaxes(Y, 1, 2))
-            means[blk, rep] = np.mean(b_vals, axis=1)
+            np.add.reduce(b_vals, axis=1, out=means[blk, rep])
+    means /= rows.shape[2]
     return means
 
 

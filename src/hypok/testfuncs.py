@@ -554,11 +554,13 @@ class CompactBump:
         overwritten; the values go to ``out`` (a new array if None).
         Squared radii that rounding left below 0 count as 0.
         """
-        s = np.maximum(r2, 0.0, out=r2)
+        # clamping r2 to [r_in^2, r_out^2] clamps s to [0, 1] exactly, since
+        # sqrt(fl(x * x)) == x, and keeps a negative r2 out of the sqrt
+        s = np.maximum(r2, self.inner_radius**2, out=r2)
+        np.minimum(s, self.outer_radius**2, out=s)
         np.sqrt(s, out=s)
         s -= self.inner_radius
         s /= self.outer_radius - self.inner_radius
-        np.clip(s, 0.0, 1.0, out=s)
         # 1 - s^3 (10 - 15 s + 6 s^2) in Horner form, without a power
         out = np.multiply(6.0, s, out=out)
         out -= 15.0

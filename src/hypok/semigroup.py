@@ -108,7 +108,9 @@ class QuadratureSpec:
     at different times use common random numbers.  It keeps the products
     w_i w_j (i <= j) next to the draws, ``N + N (N + 1) / 2`` floats per
     sample: 5 rows x 65 536 floats = 2.6 MB at N = 2 with the default
-    ``mc_samples``, where the draws alone take 1 MB.
+    ``mc_samples``, where the draws alone take 1 MB.  Bump values are
+    read off squared radii, one matrix product per replicate for each
+    block of ``MC_NODE_BLOCK`` time nodes.
 
     :func:`apply_poisson` splits its time axis in two halves of
     ``time_nodes // 2`` Gauss-Legendre nodes each, so a call evaluates
@@ -255,7 +257,8 @@ def _mc_draw_set(dim, mc_samples, rng_seed):
 def _mc_draws(dim, mc_samples, rng_seed):
     """Read-only Philox draws (MC_REPLICATES, dim, per): the first rows
     of the draw set, whose one cache entry is 2.6 MB at N = 2 and the
-    default mc_samples (1 MB of it the draws, the rest their products).
+    default mc_samples (1 MB of it the draws, the rest the products that
+    give the radial route its squared radii, node block by node block).
     """
     return _mc_draw_set(dim, mc_samples, rng_seed)[:, :dim]
 

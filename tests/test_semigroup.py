@@ -425,8 +425,8 @@ class TestMonteCarloFallback:
 
     def test_bump_at_the_mean_of_a_degenerate_kernel_is_one(self):
         # at t = 1e-9 the kolmogorov(1) covariance has eigenvalues 2e-9 and
-        # 2e-28; every squared radius is below 1e-8, rounding may take one
-        # below 0, and the bump must still read exactly 1
+        # 1.7e-28; every squared radius lies far inside the plateau, rounding
+        # may take one below 0, and the bump must still read exactly 1
         spec, t, X = kolmogorov(1), 1e-9, np.array([0.3, -0.2])
         bump = CompactBump(gramians(spec, t).exp_tB @ X, 0.4, 1.1)
         with warnings.catch_warnings():

@@ -10,10 +10,19 @@ norms and smoothing bounds) is a function of two Gramians of the pair
     C(t) =       int_0^t e^{-sB} Q e^{-sB'} ds
 
 linked by ``t K(t) = e^{tB} C(t) e^{tB'}`` and
-``det(t K(t)) = e^{2 t tr B} det C(t)``. Both are obtained from a single block
-matrix exponential (no numerical time quadrature), so every consumer inherits
-expm-level accuracy. ``OperatorSpec`` compares and hashes by the content of
-``(Q, B)``, which lets :func:`gramians` memoise one bundle per ``(spec, t)``.
+``det(t K(t)) = e^{2 t tr B} det C(t)``. Both are read off the block
+exponential ``e^{tH}``, ``H = [[B, Q], [0, -B']]`` (no numerical time
+quadrature).
+
+One engine computes every exponential: scaling and squaring around the
+degree-13 Pade approximant. The powers ``M^0 .. M^13`` and three norms of
+``M`` are computed once; since ``(tM)^k = t^k M^k``, they give the scaling
+``s(t)`` of any time in closed form (Al-Mohy and Higham 2009) and the Pade
+numerators and denominators of a whole time grid in one matrix product.
+One batched solve follows, and each time is then squared ``s(t)`` times.
+The powers of ``H`` are kept per spec, so a grid of times costs one pass.
+``OperatorSpec`` compares and hashes by the content of ``(Q, B)``, which
+lets :func:`gramians` memoise one bundle per ``(spec, t)``.
 """
 
 from __future__ import annotations
@@ -22,17 +31,32 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 
 # Scale-invariant tolerances for symmetry / positive-definiteness decisions.
 TOL_SYM_REL = 1e-12
 TOL_PD_REL = 1e-10
 
-# Gramian bundles kept by gramians(); one bundle is a few kB at N <= 4.
+# Gramian bundles kept by gramians(), and specs whose block powers are kept;
+# one entry is a few kB at N <= 4.
 GRAMIAN_CACHE_SIZE = 256
+
+# Degree-13 Pade coefficients b_k (Higham 2005) over b_0: with b_0 as the
+# constant term, LAPACK's reciprocal pivot turns e^0 = I into 1 - 1.1e-16.
+_PADE13 = np.array([b / 64764752532480000 for b in (
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1)])
+_DEGREES = np.arange(14.0)
+_ALTERNATING = (-1.0) ** _DEGREES
+# log2 of the largest eta(A) at which degree 13 meets unit roundoff (Higham 2005)
+_LOG2_THETA13 = math.log2(5.371920351148152)
+_TINY = np.finfo(float).tiny
+# log2 of 1/|c_27|, the leading backward-error coefficient (Al-Mohy and Higham 2009)
+_LOG2_C27 = math.log2(113250775606021113483283660800000000)
 
 
 class DomainError(ValueError):
@@ -161,17 +185,81 @@ PRESETS = {
 }
 
 
-def matrix_exponential(M, t: float = 1.0) -> np.ndarray:
-    """e^{tM} by scaling-and-squaring Pade (scipy); batched over leading axes.
+class _ExpPowers(NamedTuple):
+    """What e^{tM} needs of M at every t: scaled powers and three norms."""
 
-    ``M`` may be (N, N) or (..., N, N); ``t`` may be a scalar or an array
-    broadcastable against the leading axes.
+    powers: np.ndarray  # (14, 2*m*m): row k is (M / nu)^k, then (-M / nu)^k, flattened
+    nu: float           # ||M||_1 (1 for M = 0)
+    log2_eta: float     # log2 min(max(d6, d8), max(d8, d10)), d_k = ||(M/nu)^k||_1^(1/k)
+    log2_n27: float     # log2 ||abs(M / nu)^27||_1
+    m: int
+
+
+def _exp_powers(M: np.ndarray) -> _ExpPowers:
+    m = M.shape[0]
+    nu = float(np.linalg.norm(M, 1)) or 1.0
+    A = M / nu
+    powers = np.empty((14, m, m))
+    powers[0] = np.eye(m)
+    for k in range(1, 14):
+        powers[k] = powers[k - 1] @ A
+    norms = np.abs(powers).sum(axis=1).max(axis=1)  # ||(M / nu)^k||_1
+    d6, d8, d10 = (norms[k] ** (1.0 / k) for k in (6, 8, 10))
+    eta = min(max(d6, d8), max(d8, d10))
+    n27 = np.linalg.norm(np.linalg.matrix_power(np.abs(A), 27), 1)
+    signed = np.stack([powers, powers * _ALTERNATING[:, None, None]], axis=1)
+    with np.errstate(divide="ignore"):  # log2(0) = -inf: no scaling from that term
+        return _ExpPowers(signed.reshape(14, 2 * m * m), nu, float(np.log2(eta)),
+                          float(np.log2(n27)), m)
+
+
+def _exp_grid(P: _ExpPowers, ts: np.ndarray) -> np.ndarray:
+    """e^{tM} for every t of the 1-D array ``ts`` (any sign), stacked (K, m, m).
+
+    The scaling ``s(t)`` is the Al-Mohy-Higham choice for ``t M``: the eta
+    rule, then the ell correction for the backward error of degree 13. The
+    eta rule, unlike one on ``||tM||_1``, gives ``s = 0`` for nilpotent ``M``
+    at any ``t``.
+    """
+    # log2 ||tM||_1; below the smallest normal float every term is 0 anyway
+    log2_a = np.log2(np.maximum(np.abs(ts) * P.nu, _TINY))
+    s = np.maximum(np.ceil(log2_a + (P.log2_eta - _LOG2_THETA13)), 0.0)
+    ell = np.ceil(log2_a - s + (P.log2_n27 - _LOG2_C27 + 53.0) / 26.0)
+    s += np.maximum(ell, 0.0)
+    x = ts * P.nu * np.exp2(-s)
+    c = x[:, None] ** _DEGREES * _PADE13
+    # numerators p(x M/nu) and denominators q(x M/nu) = p(-x M/nu) in one product
+    pq = (c @ P.powers).reshape(-1, 2, P.m, P.m)
+    E = np.linalg.solve(pq[:, 1], pq[:, 0])
+    s = s.astype(int)
+    for j in range(1, s.max(initial=0) + 1):
+        sel = s >= j
+        E[sel] = E[sel] @ E[sel]
+    return E
+
+
+def matrix_exponential(M, t=1.0) -> np.ndarray:
+    """e^{tM} by scaling and squaring around one batched Pade-13 pass.
+
+    ``M`` may be (N, N) or (..., N, N); ``t`` may be a scalar or an array of
+    any sign broadcastable against the leading axes. One ``M`` takes one
+    pass over all its times; a stack takes one pass per matrix.
     """
     M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise DomainError("matrix_exponential: non-finite entries")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise DomainError("matrix_exponential: M must be square, got shape %s" % (M.shape,))
     t = np.asarray(t, dtype=float)
-    return expm(M * t[..., None, None] if t.ndim else M * t)
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(t))):
+        raise DomainError("matrix_exponential: non-finite entries")
+    n = M.shape[-1]
+    lead = np.broadcast_shapes(M.shape[:-2], t.shape)
+    ts = np.broadcast_to(t, lead).reshape(-1)
+    if M.ndim == 2:
+        E = _exp_grid(_exp_powers(M), ts)
+    else:
+        Ms = np.broadcast_to(M, lead + (n, n)).reshape(-1, n, n)
+        E = np.stack([_exp_grid(_exp_powers(Mi), ti[None])[0] for Mi, ti in zip(Ms, ts)])
+    return E.reshape(lead + (n, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +278,13 @@ class GramianBundle:
     inv_C_t: np.ndarray
 
 
+@functools.lru_cache(maxsize=GRAMIAN_CACHE_SIZE)
+def _block_powers(spec: OperatorSpec) -> _ExpPowers:
+    """The exponential engine's data for H = [[B, Q], [0, -B']]."""
+    zero = np.zeros_like(spec.B)
+    return _exp_powers(np.block([[spec.B, spec.Q], [zero, -spec.B.T]]))
+
+
 def _block_gramians(spec: OperatorSpec, ts: np.ndarray):
     """Batched (exp_tB, exp_minus_tB, C_t, tK_t) via the augmented block exponential.
 
@@ -198,15 +293,14 @@ def _block_gramians(spec: OperatorSpec, ts: np.ndarray):
     t K(t) = E12 E11' and e^{-tB} = E22'.
     """
     n = spec.dim
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = spec.B
-    H[:n, n:] = spec.Q
-    H[n:, n:] = -spec.B.T
-    E = expm(H * ts[:, None, None])
+    E = _exp_grid(_block_powers(spec), ts)
     E11 = E[:, :n, :n]
     E12 = E[:, :n, n:]
     E22T = np.swapaxes(E[:, n:, n:], -1, -2)
-    C = np.linalg.solve(E11, E12)
+    try:
+        C = np.linalg.solve(E11, E12)
+    except np.linalg.LinAlgError:
+        raise DomainError("e^{tB} is singular in floating point on the time grid") from None
     C = 0.5 * (C + np.swapaxes(C, -1, -2))
     tK = E12 @ np.swapaxes(E11, -1, -2)
     tK = 0.5 * (tK + np.swapaxes(tK, -1, -2))
@@ -238,7 +332,11 @@ def _gramian_bundle(spec: OperatorSpec, t: float) -> GramianBundle:
             f"gramians: t*K(t) is not positive definite at t={t}; "
             "spec is not hypoelliptic (internal consistency)"
         )
-    _, logdet_C = np.linalg.slogdet(C_t)
+    sign_C, logdet_C = np.linalg.slogdet(C_t)
+    if sign_C <= 0:
+        raise DomainError(
+            f"gramians: C(t) is not positive definite in floating point at t={t}"
+        )
     arrays = dict(
         exp_tB=exp_tB,
         exp_minus_tB=E22T[0],
@@ -270,7 +368,7 @@ class GramianProfile:
 
 
 def gramian_profile(spec: OperatorSpec, ts) -> GramianProfile:
-    """Vectorized gramians over a 1-D array of times (one batched expm call)."""
+    """Vectorized gramians over a 1-D array of times (one pass of the engine)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if np.any(ts <= 0):
         raise DomainError("gramian_profile: all times must be > 0")
@@ -278,6 +376,8 @@ def gramian_profile(spec: OperatorSpec, ts) -> GramianProfile:
     sign, logdet = np.linalg.slogdet(tK)
     if np.any(sign <= 0):
         raise DomainError("gramian_profile: t*K(t) not positive definite on the grid")
+    if np.any(np.linalg.slogdet(C)[0] <= 0):
+        raise DomainError("gramian_profile: C(t) not positive definite on the grid")
     return GramianProfile(ts=ts, exp_tB=E11, C_t=C, tK_t=tK, logdet_tK=logdet)
 
 

@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
+from scipy.linalg import expm as scipy_expm
 
+from hypok import testfuncs
+from hypok.kernel import T_MIN
 from hypok.operator_core import (
     GRAMIAN_CACHE_SIZE,
     DomainError,
+    _block_powers,
+    _exp_grid,
     _gramian_bundle,
     KernelConstants,
     OperatorSpec,
@@ -24,6 +29,12 @@ from hypok.operator_core import (
     ornstein_uhlenbeck,
     sym_sqrt,
 )
+from hypok.semigroup import apply_poisson
+
+# the step-3 chain: diffusion in the first coordinate, transported down a chain
+CHAIN3 = OperatorSpec(np.diag([1.0, 0.0, 0.0]), np.eye(3, k=-1))
+PRESET_SPECS = [heat(1), heat(2), heat(3), kolmogorov(1), kolmogorov(2),
+                ornstein_uhlenbeck(1), ornstein_uhlenbeck(2), ornstein_uhlenbeck(3)]
 
 
 def quadrature_gramians(spec, t, order=200):
@@ -61,6 +72,38 @@ class TestMatrixExponential:
         M = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(DomainError):
             matrix_exponential(M, 1.0)
+
+    def test_zero_time_is_identity(self):
+        M = np.random.default_rng(3).normal(size=(3, 3))
+        assert np.array_equal(matrix_exponential(M, 0.0), np.eye(3))
+
+    def test_rejects_nonfinite_time(self):
+        with pytest.raises(DomainError):
+            matrix_exponential(np.eye(2), np.inf)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_matches_scipy(self, seed):
+        rng = np.random.default_rng(seed)
+        n = rng.integers(1, 6)
+        M = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 1)
+        ts = np.concatenate(([0.0], rng.uniform(-5.0, 5.0, size=7)))
+        E = matrix_exponential(M, ts)
+        assert E.shape == (8, n, n)
+        for t, Et in zip(ts, E):
+            ref = scipy_expm(t * M)
+            tol = 2e-13 * max(1.0, abs(t) * np.linalg.norm(M, 1)) * np.linalg.norm(ref, 2)
+            assert np.linalg.norm(Et - ref, 2) <= tol
+
+    def test_broadcasts_matrices_against_times(self):
+        rng = np.random.default_rng(5)
+        Ms = rng.normal(size=(3, 2, 2))
+        ts = np.array([0.5, -1.0, 2.0])
+        E = matrix_exponential(Ms, ts)
+        for Mi, ti, Ei in zip(Ms, ts, E):
+            assert_allclose(Ei, matrix_exponential(Mi, ti), rtol=1e-14, atol=1e-15)
+        assert matrix_exponential(Ms[0], ts.reshape(3, 1)).shape == (3, 1, 2, 2)
+        assert matrix_exponential(Ms, 1.0).shape == (3, 2, 2)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
@@ -157,15 +200,70 @@ class TestGramians:
         tol = 1e-13 * np.linalg.cond(g.exp_tB, 2)
         assert np.linalg.norm(g.exp_minus_tB @ g.exp_tB - np.eye(3), 2) <= tol
 
-    def test_profile_matches_pointwise(self):
-        spec = kolmogorov(1)
-        ts = np.array([0.05, 0.3, 2.0, 7.0])
-        prof = gramian_profile(spec, ts)
-        for i, t in enumerate(ts):
-            g = gramians(spec, t)
-            assert_allclose(prof.C_t[i], g.C_t, rtol=1e-12)
-            assert_allclose(prof.tK_t[i], t * g.K_t, rtol=1e-12)
-            assert_allclose(prof.logdet_tK[i], g.logdet_tK, rtol=1e-10, atol=1e-12)
+    def test_profile_matches_pointwise(self, monkeypatch):
+        grids = [(spec, np.array([0.05, 0.3, 2.0, 7.0])) for spec in PRESET_SPECS + [CHAIN3]]
+        # and the whole time grid of one apply_poisson call, cap node included
+        profile = testfuncs.gramian_profile
+        monkeypatch.setattr(
+            testfuncs, "gramian_profile", lambda sp, ts: grids.append((sp, ts)) or profile(sp, ts)
+        )
+        for spec in (kolmogorov(1), ornstein_uhlenbeck(2)):
+            f = testfuncs.gaussian(np.zeros(spec.dim), np.eye(spec.dim))
+            apply_poisson(spec, f, 0.7, np.full(spec.dim, 0.3))
+        assert [ts[0] for _, ts in grids[-2:]] == [1e10, 300.0]  # the time caps
+        for spec, ts in grids:
+            prof = gramian_profile(spec, ts)
+            for i, t in enumerate(ts):
+                g = gramians(spec, t)
+                assert_allclose(prof.C_t[i], g.C_t, rtol=1e-12)
+                assert_allclose(prof.tK_t[i], t * g.K_t, rtol=1e-12)
+                assert_allclose(prof.logdet_tK[i], g.logdet_tK, rtol=1e-10, atol=1e-12)
+
+    def test_singular_c_is_a_domain_error(self):
+        # e^{tB} has eigenvalues e^{1.12 t} and e^{-2.35 t}: C(t) loses
+        # positive definiteness in floating point near t = 9
+        spec = OperatorSpec(np.eye(2), [[0.745, -1.362], [-0.855, -1.976]])
+        for t in (8.7, 10.0, 12.0):
+            for get in (lambda: gramians(spec, t).C_t, lambda: gramian_profile(spec, [t]).C_t[0]):
+                try:
+                    C = get()
+                except DomainError:
+                    continue
+                assert np.linalg.slogdet(C)[0] > 0
+
+
+def _poisson_horizon(spec):
+    """60 log-spaced times from T_MIN to apply_poisson's time cap (at most
+    1e3), and the cap 1e10 itself for nilpotent drifts."""
+    rate = float(np.max(np.abs(np.linalg.eigvals(spec.B).real)))
+    if rate > 1e-12:
+        return np.geomspace(T_MIN, min(1e3, 300.0 / rate), 60)
+    return np.append(np.geomspace(T_MIN, 1e3, 60), 1e10)
+
+
+def _assert_block_exponential_matches_scipy(spec):
+    n = spec.dim
+    H = np.block([[spec.B, spec.Q], [np.zeros((n, n)), -spec.B.T]])
+    ts = _poisson_horizon(spec)
+    for t, E in zip(ts, _exp_grid(_block_powers(spec), ts)):
+        ref = scipy_expm(t * H)
+        tol = 2e-13 * max(1.0, t * np.linalg.norm(H, 1)) * np.linalg.norm(ref, 2)
+        assert np.linalg.norm(E - ref, 2) <= tol, t
+
+
+class TestExponentialEngine:
+    @pytest.mark.parametrize("spec", PRESET_SPECS + [CHAIN3])
+    def test_block_exponential_matches_scipy(self, spec):
+        _assert_block_exponential_matches_scipy(spec)
+
+    def test_nilpotent_drift_needs_no_squaring_at_the_cap(self):
+        # the 2009 scaling rule reads the powers of H, which vanish for a
+        # nilpotent drift; a rule on ||tH||_1 would square 31 times
+        P = _block_powers(kolmogorov(1))
+        assert P.log2_eta == -math.inf and P.log2_n27 == -math.inf
+        tK = gramians(kolmogorov(1), 1e10).K_t * 1e10
+        t = 1e10
+        assert_allclose(tK, [[t, t**2 / 2], [t**2 / 2, t**3 / 3]], rtol=1e-12)
 
 
 @st.composite
@@ -179,7 +277,21 @@ def hypoelliptic_pairs(draw):
     return OperatorSpec(np.eye(n), B)
 
 
+def _drawn_pair(seed):
+    """The pair a sweep over seeds draws when n and B share one generator."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(1, 5)
+    B = rng.normal(size=(n, n))
+    B /= max(np.linalg.norm(B, 2), 1.0)
+    return OperatorSpec(np.eye(n), B)
+
+
 class TestGramianProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(hypoelliptic_pairs())
+    def test_block_exponential_matches_scipy(self, spec):
+        _assert_block_exponential_matches_scipy(spec)
+
     @settings(max_examples=40, deadline=None)
     @given(hypoelliptic_pairs(), st.sampled_from([0.1, 1.0, 10.0]))
     def test_intertwining_property(self, spec, t):
@@ -192,6 +304,8 @@ class TestGramianProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(hypoelliptic_pairs(), st.sampled_from([0.1, 1.0, 10.0]))
+    @example(OperatorSpec(np.eye(2), [[-0.01737958, -0.23717539], [0.41369752, -0.88610763]]), 10.0)
+    @example(_drawn_pair(1379), 10.0)
     def test_determinant_property(self, spec, t):
         g = gramians(spec, t)
         tol = (1e-11 + 2e-14 * np.linalg.cond(g.exp_tB, 2)) * (1 + abs(g.logdet_tK))

@@ -154,6 +154,19 @@ def pseudo_ball_contains(spec: OperatorSpec, X, r, t, Y) -> bool:
     return bool(pseudo_distance(spec, X, Y, t) < r)
 
 
+def _log_derivative_parts(spec, g, X, Y):
+    """eta = C(t)^{-1} xi, tr(Q C(t)^{-1}) and d/dt log p from one bundle g."""
+    xi = X - g.exp_minus_tB @ Y
+    eta = g.inv_C_t @ xi
+    trace_qc = float(np.trace(spec.Q @ g.inv_C_t))
+    dt = (
+        -0.5 * trace_qc
+        + 0.25 * float(eta @ (spec.Q @ eta))
+        - 0.5 * float((spec.B @ X) @ eta)
+    )
+    return eta, trace_qc, dt
+
+
 def kernel_log_derivatives(spec: OperatorSpec, X, Y, t) -> KernelLogDerivatives:
     """Exact grad_X log p and d/dt log p.
 
@@ -169,14 +182,7 @@ def kernel_log_derivatives(spec: OperatorSpec, X, Y, t) -> KernelLogDerivatives:
     g = gramians(spec, t)
     X = _point(X, spec.dim)
     Y = _point(Y, spec.dim)
-    xi = X - g.exp_minus_tB @ Y
-    eta = g.inv_C_t @ xi
-    trace_qc = float(np.trace(spec.Q @ g.inv_C_t))
-    dt = (
-        -0.5 * trace_qc
-        + 0.25 * float(eta @ (spec.Q @ eta))
-        - 0.5 * float((spec.B @ X) @ eta)
-    )
+    eta, _, dt = _log_derivative_parts(spec, g, X, Y)
     return KernelLogDerivatives(grad_X=-0.5 * eta, dt=dt)
 
 
@@ -198,12 +204,12 @@ def liyau_kernel_identity(spec: OperatorSpec, X, Y, t, tau) -> LiYauKernelIdenti
     s = _check_time(s, T_MIN)
     g = gramians(spec, s)
     X = _point(X, spec.dim)
-    der = kernel_log_derivatives(spec, X, Y, s)
-    grad = der.grad_X
+    Y = _point(Y, spec.dim)
+    eta, trace_qc, dt = _log_derivative_parts(spec, g, X, Y)
+    grad = -0.5 * eta
     lhs = (
         float(grad @ (spec.Q @ grad))
         + float((spec.B @ X) @ grad)
-        - der.dt
+        - dt
     )
-    rhs = 0.5 * float(np.trace(spec.Q @ g.inv_C_t))
-    return LiYauKernelIdentity(lhs=lhs, rhs=rhs)
+    return LiYauKernelIdentity(lhs=lhs, rhs=0.5 * trace_qc)

@@ -22,6 +22,12 @@ profile takes its Monte Carlo means for the whole grid in one pass over
 node blocks, from the batched means e^{tB} X and sampling factors
 (2 tK(t))^{1/2}, leaving the per-time Gramian memo untouched.
 
+The L^p -> L^q smoothing check reads both norms of a single Gaussian
+(one term of monomial degree 0) in closed form, in any N: f and P_t f
+are then Gaussians whose L^r integrals are determinants.  Every other
+Schwartz function, a sum of terms or one with a polynomial factor,
+takes tensor norm grids (N <= 3).
+
 Every tensor grid (Gauss-Legendre and uniform, for the norms) is summed
 in C-order blocks of at most ``GRID_BLOCK`` points, so no full grid is
 ever held in memory.  Blocks hold 8192 points, so a coordinate array
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -60,6 +66,7 @@ from .testfuncs import (
     ModulatedBump,
     TestFunction,
     UnsupportedDegreeError,
+    _oracle_factors,
     exact_semigroup_oracle,
     exact_semigroup_profile,
     gaussian,
@@ -144,7 +151,11 @@ class SemigroupValue:
 
 @dataclass(frozen=True)
 class UltracontractivityResult:
-    """Both sides of the L^p -> L^q smoothing bound plus bookkeeping."""
+    """Both sides of the L^p -> L^q smoothing bound plus bookkeeping.
+
+    ``method`` is ``"closed-form"`` or ``"grid"``, the route that
+    computed the two norms.
+    """
 
     lhs: float
     rhs: float
@@ -152,6 +163,7 @@ class UltracontractivityResult:
     constant: float
     trace_b_negative: bool
     tail_bound: float
+    method: str
 
 
 def _uniform(order):
@@ -491,8 +503,6 @@ def _pushed_geometry(spec, f: TestFunction, t):
     the box and the Gauss-Legendre resolution are read off this exact
     geometry instead of operator-norm bounds.
     """
-    if not f.is_schwartz:
-        raise DomainError("norms are defined for Schwartz-class functions only")
     if t is None:
         push = np.eye(spec.dim)
         spread = np.zeros((spec.dim, spec.dim))
@@ -542,27 +552,24 @@ def lp_norm(
     return float(np.power(total, 1.0 / p))
 
 
-def sup_norm(f, dim: int, radius: float, order: int = 801) -> float:
-    """Sup of |f| over a uniform grid on [-radius, radius]^N.
+def sup_norm(f, dim: int, radius: float, order: int | None = None) -> float:
+    """Sup of |f| over a uniform grid of ``order`` points per axis on
+    [-radius, radius]^N.
 
-    ``f`` is called on successive blocks of at most ``GRID_BLOCK``
-    points, each an ``(M, N)`` array, and must return the ``M`` values
-    row by row.  A block is read-only and its memory is reused by the
-    next one, so ``f`` must copy any block it keeps.
+    The default order is 801 for N <= 2 and 101 for N = 3.  ``f`` is
+    called on successive blocks of at most ``GRID_BLOCK`` points, each
+    an ``(M, N)`` array, and must return the ``M`` values row by row.  A
+    block is read-only and its memory is reused by the next one, so
+    ``f`` must copy any block it keeps.
     """
-    if dim > 2:
-        order = 101
+    if dim > 3:
+        raise UnsupportedDegreeError("norm grids are capped at N = 3")
+    if order is None:
+        order = 801 if dim <= 2 else 101
     return max(
         float(np.max(np.abs(np.asarray(f(pts)))))
         for pts, _ in _grid_blocks(_uniform, order, dim, radius)
     )
-
-
-def _semigroup_callable(spec, f, t):
-    def func(pts):
-        return exact_semigroup_oracle(spec, f, t, pts)
-
-    return func
 
 
 _UC_CACHE = {}
@@ -573,26 +580,64 @@ _UC_WIDTHS = (0.05, 0.2, 0.5, 1.0, 2.0, 5.0)
 _UC_TIMES = (0.2, 1.0, 5.0)
 
 
-def _uc_sides(spec, f, p, q, t):
-    """lhs = ||P_t f||_q and the constant-free envelope V^{...} e^{...} ||f||_p."""
+def _gaussian_norms(spec, f, p, q, t):
+    """||f||_p and ||P_t f||_q of one Gaussian c exp(-<S(y - c0), y - c0>).
+
+    The integral of exp(-r <S w, w>) is (pi/r)^{N/2} det S^{-1/2}.  With
+    G = I + 2 Sigma S, Sigma = 2 t K(t) and half = log det G / 2, P_t f
+    is the Gaussian c e^{-half} exp(-<S'(X - e^{-tB} c0), X - e^{-tB} c0>),
+    S' = e^{tB'} S G^{-1} e^{tB}, whose log det S' is 2 t tr B +
+    log det S - 2 half; its sup is the peak |c| e^{-half}.
+    """
+    term = f.terms[0]
+    # the one factor entry is (term, A, G^{-1}, [log det G / 2], ...)
+    _, factors = _oracle_factors(spec, f, t)
+    half = float(factors[0][3][0])
+    logdet_S = float(np.linalg.slogdet(term.shape)[1])
+
+    def log_norm(r, logdet):
+        return (0.5 * spec.dim * math.log(math.pi / r) - 0.5 * logdet) / r
+
+    amp = abs(term.coeff)
+    norm_f = amp * math.exp(log_norm(p, logdet_S))
+    peak = amp * math.exp(-half)
+    if math.isinf(q):
+        return norm_f, peak
+    logdet_pushed = 2.0 * t * spec.trace_B + logdet_S - 2.0 * half
+    return norm_f, peak * math.exp(log_norm(q, logdet_pushed))
+
+
+def _grid_norms(spec, f, p, q, t):
+    """||f||_p and ||P_t f||_q on tensor grids sized by _pushed_geometry."""
     # |f|^p is sqrt(p) times narrower than f, and |P_t f|^q than P_t f
     rad_f, sig_f = _pushed_geometry(spec, f, None)
     order_f = _adaptive_order(rad_f, sig_f / math.sqrt(p), spec.dim)
     norm_f = lp_norm(f.value, p, spec.dim, rad_f, order=order_f)
-    g = gramians(spec, t)
-    const = KernelConstants.for_dim(spec.dim)
-    vol = const.omega_N * math.exp(0.5 * g.logdet_tK)
-    func = _semigroup_callable(spec, f, t)
+    func = partial(exact_semigroup_oracle, spec, f, t)
     rad_p, sig_p = _pushed_geometry(spec, f, t)
     if math.isinf(q):
-        lhs = sup_norm(func, spec.dim, rad_p)
-        inv_q = 0.0
-    else:
-        order_p = _adaptive_order(rad_p, sig_p / math.sqrt(q), spec.dim)
-        lhs = lp_norm(func, q, spec.dim, rad_p, order=order_p)
-        inv_q = 1.0 / q
+        return norm_f, sup_norm(func, spec.dim, rad_p)
+    order_p = _adaptive_order(rad_p, sig_p / math.sqrt(q), spec.dim)
+    return norm_f, lp_norm(func, q, spec.dim, rad_p, order=order_p)
+
+
+def _uc_sides(spec, f, p, q, t):
+    """lhs = ||P_t f||_q, the constant-free envelope V^{...} e^{...} ||f||_p
+    and the method that computed the norms.
+
+    A single degree-0 term (one Gaussian) takes the closed form of
+    :func:`_gaussian_norms` in any N; every other Schwartz function
+    takes the tensor grids of :func:`_grid_norms` (N <= 3).
+    """
+    if not f.is_schwartz:
+        raise DomainError("norms are defined for Schwartz-class functions only")
+    closed = len(f.terms) == 1 and f.degree == 0
+    norm_f, lhs = (_gaussian_norms if closed else _grid_norms)(spec, f, p, q, t)
+    g = gramians(spec, t)
+    vol = KernelConstants.for_dim(spec.dim).omega_N * math.exp(0.5 * g.logdet_tK)
+    inv_q = 0.0 if math.isinf(q) else 1.0 / q
     envelope = vol ** -(1.0 / p - inv_q) * math.exp(-t * spec.trace_B * inv_q) * norm_f
-    return lhs, envelope
+    return lhs, envelope, "closed-form" if closed else "grid"
 
 
 def ultracontractivity_constant(
@@ -600,9 +645,14 @@ def ultracontractivity_constant(
 ) -> float:
     """C(N, p, q) as the max observed smoothing ratio on pure diffusion.
 
-    For p = q the bound degenerates to the plain L^p contraction, whose
-    constant is 1 exactly; calibration would undershoot it slightly and
-    turn quadrature noise into spurious failures.
+    The ratio is taken over centred single Gaussians at fixed widths and
+    times, whose norms are closed forms, so a cold calibration costs
+    milliseconds in any N.  A maximum over a finite family sits below
+    the sharp constant: for p = 1 a Gaussian narrower than the family's
+    exceeds it.  For p = q the bound degenerates to the plain L^p
+    contraction, whose constant is 1 exactly; calibration would
+    undershoot it slightly and turn quadrature noise into spurious
+    failures.
     """
     if p == q:
         return 1.0
@@ -614,7 +664,7 @@ def ultracontractivity_constant(
     for width in _UC_WIDTHS:
         f = gaussian(np.zeros(dim), np.eye(dim) / (2.0 * width**2))
         for t in _UC_TIMES:
-            lhs, envelope = _uc_sides(spec, f, p, q, t)
+            lhs, envelope, _ = _uc_sides(spec, f, p, q, t)
             best = max(best, lhs / envelope)
     _UC_CACHE[key] = best
     return best
@@ -632,14 +682,19 @@ def ultracontractivity_check(
 
     The constant is the calibration output of
     :func:`ultracontractivity_constant`; a negative trace of B is legal
-    but flagged, since the large-time decay claims exclude it.
+    but flagged, since the large-time decay claims exclude it.  A single
+    Gaussian ``f`` (one term of monomial degree 0) has both norms in
+    closed form in any N and ``method="closed-form"``; for q = inf the
+    lhs is then the exact peak of P_t f.  Any other Schwartz ``f`` takes
+    tensor grids, N <= 3, and ``method="grid"``; the ``tail_bound``
+    allowance is granted on both routes.
     """
     t = _check_time(t)
     p = float(p)
     q = float(q)
     if not 1.0 <= p <= q:
         raise DomainError("need 1 <= p <= q")
-    lhs, envelope = _uc_sides(spec, f, p, q, t)
+    lhs, envelope, method = _uc_sides(spec, f, p, q, t)
     C = ultracontractivity_constant(spec.dim, p, q, quad)
     rhs = C * envelope
     # box truncation plus Gauss-Legendre resolution allowance on the lhs;
@@ -653,4 +708,5 @@ def ultracontractivity_check(
         constant=C,
         trace_b_negative=bool(spec.trace_B < 0),
         tail_bound=tail,
+        method=method,
     )

@@ -19,6 +19,7 @@ from hypok.kernel import (
 from hypok.operator_core import (
     DomainError,
     KernelConstants,
+    OperatorSpec,
     gramians,
     heat,
     kolmogorov,
@@ -333,6 +334,22 @@ class TestLiYauKernelIdentity:
     def test_rejects_collapsed_gap(self):
         with pytest.raises(DomainError):
             liyau_kernel_identity(heat(2), np.zeros(2), np.zeros(2), 1.0, 1.0)
+
+    def test_bit_identical_to_derivative_composition(self):
+        # both sides as composed from kernel_log_derivatives and the Gramian
+        # trace, on the presets and the step-3 chain
+        chain = OperatorSpec(np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0], -1))
+        rng = np.random.default_rng(43)
+        for spec in PRESETS() + (chain,):
+            X = rng.uniform(-1.5, 1.5, size=spec.dim)
+            Y = rng.uniform(-1.5, 1.5, size=spec.dim)
+            out = liyau_kernel_identity(spec, X, Y, 0.5, 0.0)
+            der = kernel_log_derivatives(spec, X, Y, 0.5)
+            grad = der.grad_X
+            lhs = float(grad @ (spec.Q @ grad)) + float((spec.B @ X) @ grad) - der.dt
+            rhs = 0.5 * float(np.trace(spec.Q @ gramians(spec, 0.5).inv_C_t))
+            assert out.lhs == lhs
+            assert out.rhs == rhs
 
 
 class TestChapmanKolmogorov:

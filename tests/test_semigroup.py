@@ -45,6 +45,7 @@ from hypok.testfuncs import (
     GaussianTerm,
     ModulatedBump,
     TestFunction,
+    UnsupportedDegreeError,
     constant,
     exact_semigroup_oracle,
     gaussian,
@@ -809,6 +810,94 @@ class TestUltracontractivity:
         assert 0 < c_14 < c_12 < 1.0
 
 
+def random_gaussian(rng, dim):
+    """One Gaussian c exp(-<S(y - c0), y - c0>), S with spectrum in [0.3, 2]."""
+    Qmat, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    shape = (Qmat * rng.uniform(0.3, 2.0, size=dim)) @ Qmat.T
+    coeff = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    return gaussian(rng.uniform(-0.5, 0.5, size=dim), shape, coeff=coeff)
+
+
+def pushed_oracle(spec, f, t):
+    return lambda pts: exact_semigroup_oracle(spec, f, t, pts)
+
+
+GAUSSIAN_SPECS = pytest.mark.parametrize(
+    "spec",
+    [heat(2), kolmogorov(1), ornstein_uhlenbeck(2), heat(3)],
+    ids=["heat2", "kolmogorov1", "ou2", "heat3"],
+)
+
+
+class TestUltracontractivityClosedForm:
+    @GAUSSIAN_SPECS
+    @pytest.mark.parametrize("p, q", [(1.0, 2.0), (2.0, 4.0), (1.5, 3.0)])
+    def test_matches_norm_grids(self, spec, p, q):
+        # both norms on the tensor grids the grid route would build
+        rng = np.random.default_rng([int(10 * p), int(10 * q), spec.dim])
+        geometry, order = semigroup_module._pushed_geometry, semigroup_module._adaptive_order
+        n = spec.dim
+        for _ in range(2):
+            f = random_gaussian(rng, n)
+            t = float(np.exp(rng.uniform(math.log(0.3), math.log(2.0))))
+            result = ultracontractivity_check(spec, f, p, q, t)
+            assert result.method == "closed-form"
+            rad_f, sig_f = geometry(spec, f, None)
+            norm_f = lp_norm(f.value, p, n, rad_f, order(rad_f, sig_f / math.sqrt(p), n))
+            rad_p, sig_p = geometry(spec, f, t)
+            lhs = lp_norm(
+                pushed_oracle(spec, f, t), q, n, rad_p, order(rad_p, sig_p / math.sqrt(q), n)
+            )
+            vol = KernelConstants.for_dim(n).omega_N * math.exp(
+                0.5 * gramians(spec, t).logdet_tK
+            )
+            envelope = vol ** -(1.0 / p - 1.0 / q) * math.exp(-t * spec.trace_B / q) * norm_f
+            assert result.lhs == pytest.approx(lhs, rel=1e-10)
+            assert result.rhs / result.constant == pytest.approx(envelope, rel=1e-10)
+
+    @GAUSSIAN_SPECS
+    def test_sup_is_the_exact_peak(self, spec):
+        # P_t f peaks at e^{-tB} c0; a uniform grid can only sit below it
+        rng = np.random.default_rng(spec.dim + 50)
+        f = random_gaussian(rng, spec.dim)
+        t = 0.8
+        result = ultracontractivity_check(spec, f, 1.0, np.inf, t)
+        assert result.method == "closed-form"
+        top = gramians(spec, t).exp_minus_tB @ f.terms[0].center
+        peak = abs(exact_semigroup_oracle(spec, f, t, top))
+        assert result.lhs == pytest.approx(peak, rel=1e-14)
+        radius, _ = semigroup_module._pushed_geometry(spec, f, t)
+        assert result.lhs >= sup_norm(pushed_oracle(spec, f, t), spec.dim, radius)
+
+    def test_single_gaussian_in_four_dims(self):
+        spec = kolmogorov(2)
+        f = gaussian(np.full(4, 0.2), np.eye(4) * 0.8)
+        for q in (2.0, np.inf):
+            result = ultracontractivity_check(spec, f, 1.0, q, 0.9)
+            assert result.method == "closed-form"
+            assert result.passed
+
+    def test_sum_of_gaussians_takes_the_grid(self):
+        rng = np.random.default_rng(21)
+        f = gaussian(rng.uniform(-0.5, 0.5, size=2), np.eye(2) * 1.1) + gaussian(
+            rng.uniform(-0.5, 0.5, size=2), np.eye(2) * 0.4
+        )
+        result = ultracontractivity_check(heat(2), f, 1.0, 2.0, 0.7)
+        assert result.method == "grid"
+        assert result.passed
+
+    def test_polynomial_factor_takes_the_grid(self):
+        f = gaussian(np.zeros(2), np.eye(2), monomial=(2, 0))
+        result = ultracontractivity_check(heat(2), f, 1.0, 2.0, 0.7)
+        assert result.method == "grid"
+        assert result.passed
+
+    @pytest.mark.parametrize("shape", [np.zeros((2, 2)), np.diag([1.0, 0.0])])
+    def test_single_term_without_decay_is_rejected(self, shape):
+        with pytest.raises(DomainError):
+            ultracontractivity_check(heat(2), gaussian(np.zeros(2), shape), 1.0, 2.0, 0.7)
+
+
 class TestNormHelpers:
     def test_lp_norm_gaussian(self):
         f = gaussian(np.zeros(2), np.eye(2))
@@ -847,8 +936,13 @@ class TestNormHelpers:
         gap = np.min((xs[:, None] - c) ** 2, axis=0).sum()
         assert sup_norm(f.value, dim, radius) == pytest.approx(math.exp(-gap), rel=1e-14)
 
+    def test_sup_norm_rejects_four_dims(self):
+        with pytest.raises(UnsupportedDegreeError):
+            sup_norm(lambda pts: np.ones(pts.shape[0]), 4, 1.0)
+
     @pytest.mark.parametrize(
-        "norm, dim, order", [("lp", 3, 97), ("lp", 1, 97), ("sup", 2, 801)]
+        "norm, dim, order",
+        [("lp", 3, 97), ("lp", 1, 97), ("sup", 2, 801), ("sup", 3, 11)],
     )
     def test_grid_blocks_cover_the_grid_once(self, norm, dim, order):
         seen = []

@@ -8,9 +8,13 @@ The kernel is evaluated in the two published closed forms
 
 where m_t is the non-symmetric pseudo-distance built from the averaged
 Gramian K(t) and V(t) = omega_N det(t K(t))^{1/2} is the volume
-function.  Both forms are computed on every call and the relative gap is
-reported, which turns each evaluation into a self-check of the Gramian
-identities connecting K and C.
+function.  Both forms are computed on every call and compared in log
+space: the reported gap 1 - exp(-|log p_a - log p_b|) is the relative gap
+of the two values, and it stays readable where both values underflow to
+0.  This turns each evaluation into a self-check of the Gramian
+identities connecting K and C.  The prefactors and tr(Q C(t)^{-1}) are
+read from the memoised Gramian bundle, so a call at a known (spec, t)
+costs only its point arithmetic.
 
 The time derivative of log p closes through d/dt log det C(t) =
 tr(Q C(t)^{-1}) - 2 tr B, and combining it with the spatial gradient
@@ -33,6 +37,7 @@ from .operator_core import (
     _check_time,
     gramians,
 )
+from .testfuncs import _quad_form
 
 __all__ = [
     "KernelEval",
@@ -56,6 +61,8 @@ def _point(x, dim):
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise ValueError("expected a point in R^%d, got shape %s" % (dim, x.shape))
+    if not all(map(math.isfinite, x.tolist())):
+        raise DomainError("point has non-finite coordinates")
     return x
 
 
@@ -64,8 +71,10 @@ class KernelEval:
     """One kernel evaluation with its internal consistency record.
 
     value is taken from the pseudo-distance form; form_residual is the
-    relative gap against the drift-free-variable form and should sit at
-    roundoff level whenever the Gramian identities hold.
+    relative gap 1 - exp(-|log_value - log p_b|) against the
+    drift-free-variable form p_b, taken in log space so that it stays
+    meaningful where both values underflow, and should sit at roundoff
+    level whenever the Gramian identities hold.
     """
 
     value: float
@@ -93,7 +102,7 @@ class LiYauKernelIdentity:
 def pseudo_distance(spec: OperatorSpec, X, Y, t) -> float:
     """Pseudo-distance m_t(X, Y) = <K(t)^{-1} d, d>^{1/2}, d = Y - e^{tB} X.
 
-    Vectorised over a leading batch axis of Y; X is a single point.
+    Vectorised over any leading axes of Y; X is a single point.
     Not symmetric in (X, Y) unless e^{tB} is orthogonal and commutes
     with K(t), e.g. for the pure heat preset.
     """
@@ -103,9 +112,10 @@ def pseudo_distance(spec: OperatorSpec, X, Y, t) -> float:
     Y = np.asarray(Y, dtype=float)
     if Y.shape[-1:] != (spec.dim,):
         raise ValueError("Y must have trailing dimension %d" % spec.dim)
-    d = Y - g.exp_tB @ X
-    q = np.einsum("...i,ij,...j->...", d, g.inv_K_t, d)
-    out = np.sqrt(np.clip(q, 0.0, None))
+    if not np.isfinite(Y).all():
+        raise DomainError("Y has non-finite coordinates")
+    q = _quad_form(g.inv_K_t, Y - g.exp_tB @ X)
+    out = np.sqrt(np.maximum(q, 0.0))
     return out if out.ndim else float(out)
 
 
@@ -123,27 +133,19 @@ def heat_kernel(spec: OperatorSpec, X, Y, t) -> KernelEval:
     g = gramians(spec, t)
     X = _point(X, spec.dim)
     Y = _point(Y, spec.dim)
-    const = KernelConstants.for_dim(spec.dim)
 
     d = Y - g.exp_tB @ X
-    q = float(np.clip(d @ (g.inv_K_t @ d), 0.0, None))
-    m_t = math.sqrt(q)
-    log_V = math.log(const.omega_N) + 0.5 * g.logdet_tK
-    log_a = math.log(const.c_N) - log_V - q / (4.0 * t)
+    q = max(float(d @ (g.inv_K_t @ d)), 0.0)
+    log_a = g.log_norm_m - q / (4.0 * t)
 
     xi = X - g.exp_minus_tB @ Y
-    qc = float(xi @ (g.inv_C_t @ xi))
-    log_b = (
-        -0.5 * spec.dim * math.log(4.0 * math.pi)
-        - t * spec.trace_B
-        - 0.5 * g.logdet_C
-        - 0.25 * qc
-    )
+    log_b = g.log_norm_C - 0.25 * float(xi @ (g.inv_C_t @ xi))
 
-    value = math.exp(log_a)
-    value_b = math.exp(log_b)
-    residual = abs(value - value_b) / max(value, value_b, 1e-300)
-    return KernelEval(value=value, m_t=m_t, log_value=log_a, form_residual=residual)
+    # equal logs, -inf included (an overflowing quadratic form), read 0
+    residual = 0.0 if log_a == log_b else -math.expm1(-abs(log_a - log_b))
+    return KernelEval(
+        value=math.exp(log_a), m_t=math.sqrt(q), log_value=log_a, form_residual=residual
+    )
 
 
 def pseudo_ball_contains(spec: OperatorSpec, X, r, t, Y) -> bool:
@@ -155,16 +157,12 @@ def pseudo_ball_contains(spec: OperatorSpec, X, r, t, Y) -> bool:
 
 
 def _log_derivative_parts(spec, g, X, Y):
-    """eta = C(t)^{-1} xi, tr(Q C(t)^{-1}) and d/dt log p from one bundle g."""
-    xi = X - g.exp_minus_tB @ Y
-    eta = g.inv_C_t @ xi
-    trace_qc = float(np.trace(spec.Q @ g.inv_C_t))
-    dt = (
-        -0.5 * trace_qc
-        + 0.25 * float(eta @ (spec.Q @ eta))
-        - 0.5 * float((spec.B @ X) @ eta)
-    )
-    return eta, trace_qc, dt
+    """eta = C(t)^{-1} xi, <Q eta, eta>, <B X, eta> and d/dt log p from one bundle g."""
+    eta = g.inv_C_t @ (X - g.exp_minus_tB @ Y)
+    eta_Q_eta = float(eta @ (spec.Q @ eta))
+    BX_eta = float((spec.B @ X) @ eta)
+    dt = -0.5 * g.trace_Q_inv_C + 0.25 * eta_Q_eta - 0.5 * BX_eta
+    return eta, eta_Q_eta, BX_eta, dt
 
 
 def kernel_log_derivatives(spec: OperatorSpec, X, Y, t) -> KernelLogDerivatives:
@@ -182,7 +180,7 @@ def kernel_log_derivatives(spec: OperatorSpec, X, Y, t) -> KernelLogDerivatives:
     g = gramians(spec, t)
     X = _point(X, spec.dim)
     Y = _point(Y, spec.dim)
-    eta, _, dt = _log_derivative_parts(spec, g, X, Y)
+    eta, _, _, dt = _log_derivative_parts(spec, g, X, Y)
     return KernelLogDerivatives(grad_X=-0.5 * eta, dt=dt)
 
 
@@ -205,11 +203,8 @@ def liyau_kernel_identity(spec: OperatorSpec, X, Y, t, tau) -> LiYauKernelIdenti
     g = gramians(spec, s)
     X = _point(X, spec.dim)
     Y = _point(Y, spec.dim)
-    eta, trace_qc, dt = _log_derivative_parts(spec, g, X, Y)
-    grad = -0.5 * eta
-    lhs = (
-        float(grad @ (spec.Q @ grad))
-        + float((spec.B @ X) @ grad)
-        - dt
-    )
-    return LiYauKernelIdentity(lhs=lhs, rhs=0.5 * trace_qc)
+    _, eta_Q_eta, BX_eta, dt = _log_derivative_parts(spec, g, X, Y)
+    # with grad_X log p = -eta / 2 the two quadratic terms are eta's scaled
+    # by powers of two, which is exact in floating point
+    lhs = 0.25 * eta_Q_eta - 0.5 * BX_eta - dt
+    return LiYauKernelIdentity(lhs=lhs, rhs=0.5 * g.trace_Q_inv_C)

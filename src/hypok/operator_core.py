@@ -264,7 +264,17 @@ def matrix_exponential(M, t=1.0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramianBundle:
-    """All Gramian-derived quantities of one spec at one time."""
+    """All Gramian-derived quantities of one spec at one time.
+
+    Besides the matrices and log-determinants it holds three scalars the
+    kernel needs at every point, computed once per ``(spec, t)``:
+
+    * ``trace_Q_inv_C = tr(Q C(t)^{-1})``;
+    * ``log_norm_m = log c_N - (log omega_N + log det(t K(t)) / 2)``, the
+      log prefactor ``log(c_N / V(t))`` of the pseudo-distance form;
+    * ``log_norm_C = -N log(4 pi) / 2 - t tr B - log det C(t) / 2``, the log
+      prefactor of the drift-free-variable form.
+    """
 
     t: float
     exp_tB: np.ndarray
@@ -276,6 +286,9 @@ class GramianBundle:
     logdet_C: float
     inv_K_t: np.ndarray
     inv_C_t: np.ndarray
+    trace_Q_inv_C: float
+    log_norm_m: float
+    log_norm_C: float
 
 
 @functools.lru_cache(maxsize=GRAMIAN_CACHE_SIZE)
@@ -324,34 +337,41 @@ def gramians(spec: OperatorSpec, t: float) -> GramianBundle:
 @functools.lru_cache(maxsize=GRAMIAN_CACHE_SIZE)
 def _gramian_bundle(spec: OperatorSpec, t: float) -> GramianBundle:
     E11, E22T, C, tK = _block_gramians(spec, np.array([t]))
-    exp_tB, C_t, tK_t = E11[0], C[0], tK[0]
-    K_t = tK_t / t
-    sign, logdet_tK = np.linalg.slogdet(tK_t)
+    K = tK / t
+    # each LAPACK routine runs once over both Gramians (per matrix, the
+    # result of a separate call), which pays for the kernel scalars below
+    (sign, sign_C), logdets = np.linalg.slogdet(np.concatenate((tK, C)))
     if sign <= 0:
         raise DomainError(
             f"gramians: t*K(t) is not positive definite at t={t}; "
             "spec is not hypoelliptic (internal consistency)"
         )
-    sign_C, logdet_C = np.linalg.slogdet(C_t)
     if sign_C <= 0:
         raise DomainError(
             f"gramians: C(t) is not positive definite in floating point at t={t}"
         )
+    inv_K_t, inv_C_t = np.linalg.inv(np.concatenate((K, C)))
     arrays = dict(
-        exp_tB=exp_tB,
+        exp_tB=E11[0],
         exp_minus_tB=E22T[0],
-        K_t=K_t,
-        C_t=C_t,
-        inv_K_t=np.linalg.inv(K_t),
-        inv_C_t=np.linalg.inv(C_t),
+        K_t=K[0],
+        C_t=C[0],
+        inv_K_t=inv_K_t,
+        inv_C_t=inv_C_t,
     )
     for a in arrays.values():
         a.setflags(write=False)
+    n = spec.dim
+    const = KernelConstants.for_dim(n)
+    logdet_tK, logdet_C = logdets.tolist()
     return GramianBundle(
         t=t,
         det_tK=float(np.exp(logdet_tK)),
-        logdet_tK=float(logdet_tK),
-        logdet_C=float(logdet_C),
+        logdet_tK=logdet_tK,
+        logdet_C=logdet_C,
+        trace_Q_inv_C=float((spec.Q @ inv_C_t).trace()),
+        log_norm_m=math.log(const.c_N) - (math.log(const.omega_N) + 0.5 * logdet_tK),
+        log_norm_C=-0.5 * n * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * logdet_C,
         **arrays,
     )
 
@@ -436,7 +456,7 @@ def logdet_derivative_identity(spec: OperatorSpec, t: float) -> float:
     if not (t > 0):
         raise DomainError(f"logdet_derivative_identity: t must be > 0, got {t}")
     g = gramians(spec, t)
-    trQCinv = float(np.trace(spec.Q @ g.inv_C_t))
+    trQCinv = g.trace_Q_inv_C
     h = 1e-5 * t
     prof = gramian_profile(spec, np.array([t - h, t + h]))
     _, ld = np.linalg.slogdet(prof.C_t)
@@ -460,6 +480,7 @@ class KernelConstants:
     omega_N: float
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def for_dim(n: int) -> "KernelConstants":
         g = math.gamma(n / 2 + 1)
         return KernelConstants(dim=n, c_N=1.0 / (4 ** (n / 2) * g), omega_N=math.pi ** (n / 2) / g)

@@ -487,10 +487,9 @@ def kernel_lr_norm(spec: OperatorSpec, Y, t, r) -> float:
         raise ValueError("Y must be a point in R^%d" % spec.dim)
     g = gramians(spec, t)
     n = spec.dim
-    log_amp = -0.5 * n * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * g.logdet_C
     # log of the integral of the kernel's Gaussian factor to the power r
     log_mass = n * math.log(2.0) + 0.5 * g.logdet_C + 0.5 * n * math.log(math.pi / r)
-    return math.exp(log_amp + log_mass / r)
+    return math.exp(g.log_norm_C + log_mass / r)
 
 
 def _pushed_geometry(spec, f: TestFunction, t):

@@ -27,6 +27,8 @@ from hypok.operator_core import (
 )
 
 PRESETS = lambda: (heat(2), kolmogorov(1), ornstein_uhlenbeck(2))
+# diffusion in the first coordinate, transported down a chain of two shifts
+CHAIN3 = OperatorSpec(np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0], -1))
 
 
 def kolmogorov_p0(X, Y, t, n=1):
@@ -66,6 +68,46 @@ def _gh_grid(dim, order):
     for axis in range(dim):
         w = w * weights[np.searchsorted(nodes, u[:, axis])]
     return u, w
+
+
+def _per_call_kernel(spec, X, Y, t):
+    """value, m_t, log_value and p_b of heat_kernel, everything derived per call.
+
+    The prefactors come from KernelConstants and the bundle's
+    log-determinants in the library's grouping of the operations, so the
+    library, which reads them precomputed from the bundle, must agree bit
+    for bit.
+    """
+    g = gramians(spec, t)
+    const = KernelConstants.for_dim(spec.dim)
+    d = Y - g.exp_tB @ X
+    q = float(np.clip(d @ (g.inv_K_t @ d), 0.0, None))
+    log_V = math.log(const.omega_N) + 0.5 * g.logdet_tK
+    log_a = math.log(const.c_N) - log_V - q / (4.0 * t)
+    xi = X - g.exp_minus_tB @ Y
+    qc = float(xi @ (g.inv_C_t @ xi))
+    log_b = (
+        -0.5 * spec.dim * math.log(4.0 * math.pi)
+        - t * spec.trace_B
+        - 0.5 * g.logdet_C
+        - 0.25 * qc
+    )
+    return math.exp(log_a), math.sqrt(q), log_a, math.exp(log_b)
+
+
+def _per_call_derivatives(spec, X, Y, t, tau=0.0):
+    """grad_X, dt and the Li-Yau (lhs, rhs) at gap t - tau, composed per call."""
+    g = gramians(spec, t - tau)
+    eta = g.inv_C_t @ (X - g.exp_minus_tB @ Y)
+    trace_qc = float(np.trace(spec.Q @ g.inv_C_t))
+    dt = (
+        -0.5 * trace_qc
+        + 0.25 * float(eta @ (spec.Q @ eta))
+        - 0.5 * float((spec.B @ X) @ eta)
+    )
+    grad = -0.5 * eta
+    lhs = float(grad @ (spec.Q @ grad)) + float((spec.B @ X) @ grad) - dt
+    return grad, dt, lhs, 0.5 * trace_qc
 
 
 def _kernel_values_batch_X(spec, Xs, Y, t):
@@ -116,6 +158,16 @@ class TestPseudoDistance:
         assert_allclose(
             batch, [pseudo_distance(spec, X, y, 0.6) for y in Y], rtol=1e-14
         )
+
+    def test_any_leading_axes(self):
+        rng = np.random.default_rng(3)
+        for spec in PRESETS() + (kolmogorov(2), CHAIN3):
+            X = rng.normal(size=spec.dim)
+            Y = rng.normal(size=(3, 5, spec.dim))
+            batch = pseudo_distance(spec, X, Y, 0.4)
+            assert batch.shape == (3, 5)
+            loop = [[heat_kernel(spec, X, y, 0.4).m_t for y in row] for row in Y]
+            assert_allclose(batch, loop, rtol=1e-13)
 
     def test_asymmetry_witness(self):
         # the intertwined distance is genuinely one-sided away from B = 0
@@ -239,6 +291,43 @@ class TestHeatKernel:
         with pytest.raises(DomainError):
             heat_kernel(heat(1), np.zeros(1), np.zeros(1), 1e-13)
 
+    def test_matches_per_call_formulas_bitwise(self):
+        rng = np.random.default_rng(11)
+        for spec in PRESETS() + (kolmogorov(2), CHAIN3):
+            for t in np.logspace(-3, 1.5, 8):
+                t = float(t)
+                for _ in range(3):
+                    X = rng.normal(size=spec.dim)
+                    Y = rng.normal(size=spec.dim)
+                    ev = heat_kernel(spec, X, Y, t)
+                    value, m_t, log_value, _ = _per_call_kernel(spec, X, Y, t)
+                    assert (ev.value, ev.m_t, ev.log_value) == (value, m_t, log_value)
+
+    def test_residual_is_the_relative_gap(self):
+        rng = np.random.default_rng(13)
+        for spec in PRESETS() + (kolmogorov(2), CHAIN3):
+            for t in (1.0, 2.0, 5.0):
+                X = rng.uniform(-0.7, 0.7, size=spec.dim)
+                Y = rng.uniform(-0.7, 0.7, size=spec.dim)
+                value, _, _, value_b = _per_call_kernel(spec, X, Y, t)
+                assert min(value, value_b) > 1e-300
+                gap = abs(value - value_b) / max(value, value_b)
+                assert heat_kernel(spec, X, Y, t).form_residual == pytest.approx(
+                    gap, abs=1e-15
+                )
+
+    def test_residual_survives_underflow(self):
+        # both forms underflow to 0 here, yet their logs differ in the
+        # fourth digit: the gap is measured on the logs
+        ev = heat_kernel(kolmogorov(1), [0.5, -0.3], [-0.2, 0.4], 1e-4)
+        assert ev.value == 0.0
+        assert 1e-4 < ev.form_residual < 1e-3
+
+    def test_overflowing_quadratic_form_reads_no_gap(self):
+        with np.errstate(over="ignore"):
+            ev = heat_kernel(heat(1), [1e200], [0.0], 1.0)
+        assert (ev.value, ev.log_value, ev.form_residual) == (0.0, -math.inf, 0.0)
+
 
 class TestPseudoBall:
     def test_heat_is_euclidean_ball(self):
@@ -338,9 +427,8 @@ class TestLiYauKernelIdentity:
     def test_bit_identical_to_derivative_composition(self):
         # both sides as composed from kernel_log_derivatives and the Gramian
         # trace, on the presets and the step-3 chain
-        chain = OperatorSpec(np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0], -1))
         rng = np.random.default_rng(43)
-        for spec in PRESETS() + (chain,):
+        for spec in PRESETS() + (CHAIN3,):
             X = rng.uniform(-1.5, 1.5, size=spec.dim)
             Y = rng.uniform(-1.5, 1.5, size=spec.dim)
             out = liyau_kernel_identity(spec, X, Y, 0.5, 0.0)
@@ -350,6 +438,48 @@ class TestLiYauKernelIdentity:
             rhs = 0.5 * float(np.trace(spec.Q @ gramians(spec, 0.5).inv_C_t))
             assert out.lhs == lhs
             assert out.rhs == rhs
+
+
+class TestPerCallFormulas:
+    def test_derivatives_and_liyau_bitwise(self):
+        rng = np.random.default_rng(47)
+        for spec in PRESETS() + (kolmogorov(2), CHAIN3):
+            for t in np.logspace(-3, 1.5, 8):
+                t = float(t)
+                X = rng.normal(size=spec.dim)
+                Y = rng.normal(size=spec.dim)
+                grad, dt, _, _ = _per_call_derivatives(spec, X, Y, t)
+                der = kernel_log_derivatives(spec, X, Y, t)
+                assert np.array_equal(der.grad_X, grad)
+                assert der.dt == dt
+                _, _, lhs, rhs = _per_call_derivatives(spec, X, Y, t + 0.25, 0.25)
+                out = liyau_kernel_identity(spec, X, Y, t + 0.25, 0.25)
+                assert (out.lhs, out.rhs) == (lhs, rhs)
+
+
+class TestNonFinitePoints:
+    CALLS = {
+        "pseudo_distance": lambda X, Y: pseudo_distance(heat(2), X, Y, 1.0),
+        "pseudo_distance_batch": lambda X, Y: pseudo_distance(
+            heat(2), X, np.stack([np.zeros(2), Y]), 1.0
+        ),
+        "heat_kernel": lambda X, Y: heat_kernel(heat(2), X, Y, 1.0),
+        "kernel_log_derivatives": lambda X, Y: kernel_log_derivatives(
+            heat(2), X, Y, 1.0
+        ),
+        "liyau_kernel_identity": lambda X, Y: liyau_kernel_identity(
+            heat(2), X, Y, 1.0, 0.0
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected(self, call, bad):
+        point = np.array([0.1, bad])
+        with pytest.raises(DomainError):
+            self.CALLS[call](point, np.zeros(2))
+        with pytest.raises(DomainError):
+            self.CALLS[call](np.zeros(2), point)
 
 
 class TestChapmanKolmogorov:

@@ -181,6 +181,21 @@ class TestGramians:
             np.log(g.det_tK), 2 * t * spec.trace_B + g.logdet_C, rtol=1e-12, atol=1e-12
         )
 
+    @pytest.mark.parametrize("spec", PRESET_SPECS + [CHAIN3], ids=lambda s: f"{s.name}{s.dim}")
+    def test_kernel_scalars(self, spec):
+        const = KernelConstants.for_dim(spec.dim)
+        for t in (0.05, 0.9, 7.0):
+            g = gramians(spec, t)
+            trace = np.trace(spec.Q @ np.linalg.inv(g.C_t))
+            assert g.trace_Q_inv_C == pytest.approx(trace, rel=1e-12)
+            volume = const.omega_N * math.sqrt(g.det_tK)
+            assert g.log_norm_m == pytest.approx(math.log(const.c_N / volume), abs=1e-12)
+            log_norm_C = math.log(
+                (4 * math.pi) ** (-spec.dim / 2) * math.exp(-t * spec.trace_B)
+                / math.sqrt(np.linalg.det(g.C_t))
+            )
+            assert g.log_norm_C == pytest.approx(log_norm_C, abs=1e-10)
+
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_exp_minus_tB_closed_forms(self, t):
         g = gramians(kolmogorov(1), t)
@@ -444,7 +459,8 @@ class TestGramianMemo:
         assert fresh is not cached
         for name in ("exp_tB", "exp_minus_tB", "K_t", "C_t", "inv_K_t", "inv_C_t"):
             assert np.array_equal(getattr(fresh, name), getattr(cached, name))
-        for name in ("t", "det_tK", "logdet_tK", "logdet_C"):
+        for name in ("t", "det_tK", "logdet_tK", "logdet_C", "trace_Q_inv_C",
+                     "log_norm_m", "log_norm_C"):
             assert getattr(fresh, name) == getattr(cached, name)
 
     def test_size_is_bounded(self):
@@ -474,6 +490,7 @@ class TestSpecValidation:
             kc = KernelConstants.for_dim(n)
             # c_N / omega_N = (4 pi)^{-N/2}: ties the kernel prefactor to the volume
             assert_allclose(kc.c_N / kc.omega_N, (4 * np.pi) ** (-n / 2), rtol=1e-14)
+            assert KernelConstants.for_dim(n) is kc
 
 
 def _array_records():

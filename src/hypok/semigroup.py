@@ -38,9 +38,13 @@ replicate) once and reuses them for every block.
 
 Kernel L^r norms over the first kernel slot are Gaussian integrals in
 closed form, value = c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r} with
-c_{N,r} = [(4 pi)^{-N/2} omega_N]^{1-1/r} r^{-N/(2r)}.  The
-ultracontractivity constant C(N, p, q) is a calibration output, not an
-asserted value.
+c_{N,r} = [(4 pi)^{-N/2} omega_N]^{1-1/r} r^{-N/(2r)}.  In the variable
+e^{-tB} Y, P_t f is that Gaussian convolved with f, so the sharp Young
+inequality (Beckner 1975, Ann. Math. 102) gives the smoothing constant
+C(N, p, q) = (A_p A_r A_{q'})^N c_{N,r}, 1 + 1/q = 1/p + 1/r, with the
+Babenko-Beckner factors A_m = (m^{1/m} / m'^{1/m'})^{1/2}, A_1 = A_inf = 1.
+Gaussian kernels have only Gaussian maximisers (Lieb 1990, Invent. Math.
+102); a Gaussian f of matched width attains C on the heat kernel.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .operator_core import (
     _check_time,
     gramian_profile,
     gramians,
-    heat,
     sym_sqrt,
 )
 from .testfuncs import (
@@ -69,7 +72,6 @@ from .testfuncs import (
     _oracle_factors,
     exact_semigroup_oracle,
     exact_semigroup_profile,
-    gaussian,
 )
 
 __all__ = [
@@ -106,7 +108,8 @@ GRID_BLOCK = 1 << 13
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Quadrature and sampling resolution shared across checks.
+    """Sampling and time-quadrature resolution of the Monte Carlo values
+    and of :func:`apply_poisson`; the smoothing check needs neither.
 
     Monte Carlo draws ``MC_REPLICATES * max(mc_samples // MC_REPLICATES,
     512)`` standard normal points, so ``mc_samples=1024`` draws 4096.
@@ -275,12 +278,17 @@ def _mc_draws(dim, mc_samples, rng_seed):
     return _mc_draw_set(dim, mc_samples, rng_seed)[:, :dim]
 
 
-def _check_input(spec, f, X, kinds):
-    """X as a float point of R^N, once f is one of ``kinds`` on R^N."""
+def _check_function(spec, f, kinds):
+    """Raise unless f is one of ``kinds`` on R^N."""
     if not isinstance(f, kinds):
         raise TypeError("unsupported function type %r" % type(f).__name__)
     if f.dim != spec.dim:
         raise ValueError("dimension mismatch between spec and f")
+
+
+def _check_input(spec, f, X, kinds):
+    """X as a float point of R^N, once f is one of ``kinds`` on R^N."""
+    _check_function(spec, f, kinds)
     X = np.asarray(X, dtype=float)
     if X.shape != (spec.dim,):
         raise ValueError("X must be a point in R^%d" % spec.dim)
@@ -461,9 +469,12 @@ def lr_norm_constant(dim: int, r: float) -> float:
 
     The kernel L^r norm is c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r}; on the
     pure-diffusion preset at t = 1, where V(1) = omega_N and tr B = 0,
-    it is c_{N,r} omega_N^{-(1-1/r)}.
+    it is c_{N,r} omega_N^{-(1-1/r)}.  ``r = inf`` gives the sup norm,
+    c_{N,inf} = (4 pi)^{-N/2} omega_N.
     """
     r = float(r)
+    if not (dim >= 1 and 1.0 <= r <= math.inf):
+        raise DomainError("need dim >= 1 and 1 <= r <= inf")
     omega = KernelConstants.for_dim(dim).omega_N
     return ((4.0 * math.pi) ** (-dim / 2.0) * omega) ** (1.0 - 1.0 / r) * r ** (
         -dim / (2.0 * r)
@@ -571,14 +582,6 @@ def sup_norm(f, dim: int, radius: float, order: int | None = None) -> float:
     )
 
 
-_UC_CACHE = {}
-
-# calibration family: widths spanning well beyond anything the checks
-# use, so the recorded max ratio is an upper envelope for test inputs
-_UC_WIDTHS = (0.05, 0.2, 0.5, 1.0, 2.0, 5.0)
-_UC_TIMES = (0.2, 1.0, 5.0)
-
-
 def _gaussian_norms(spec, f, p, q, t):
     """||f||_p and ||P_t f||_q of one Gaussian c exp(-<S(y - c0), y - c0>).
 
@@ -639,34 +642,30 @@ def _uc_sides(spec, f, p, q, t):
     return lhs, envelope, "closed-form" if closed else "grid"
 
 
-def ultracontractivity_constant(
-    dim: int, p: float, q: float, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
-    """C(N, p, q) as the max observed smoothing ratio on pure diffusion.
+def _beckner(inv_m):
+    """Babenko-Beckner A_m at u = 1/m: ((1 - u)^{1-u} / u^u)^{1/2}, 0^0 = 1."""
+    return math.sqrt((1.0 - inv_m) ** (1.0 - inv_m) / inv_m**inv_m)
 
-    The ratio is taken over centred single Gaussians at fixed widths and
-    times, whose norms are closed forms, so a cold calibration costs
-    milliseconds in any N.  A maximum over a finite family sits below
-    the sharp constant: for p = 1 a Gaussian narrower than the family's
-    exceeds it.  For p = q the bound degenerates to the plain L^p
-    contraction, whose constant is 1 exactly; calibration would
-    undershoot it slightly and turn quadrature noise into spurious
-    failures.
+
+@lru_cache(maxsize=256)
+def ultracontractivity_constant(dim: int, p: float, q: float) -> float:
+    """Sharp C(N, p, q) = (A_p A_r A_{q'})^N c_{N,r}; see the module docstring.
+
+    At p = 1 the factors cancel and C = c_{N,q}, approached as f narrows
+    to a point mass; p = q is the plain L^p contraction, C = 1 exactly.
     """
+    p, q = float(p), float(q)
+    if not 1.0 <= p <= q:
+        raise DomainError("need 1 <= p <= q")
     if p == q:
         return 1.0
-    key = (dim, float(p), float(q))
-    if key in _UC_CACHE:
-        return _UC_CACHE[key]
-    spec = heat(dim)
-    best = 0.0
-    for width in _UC_WIDTHS:
-        f = gaussian(np.zeros(dim), np.eye(dim) / (2.0 * width**2))
-        for t in _UC_TIMES:
-            lhs, envelope, _ = _uc_sides(spec, f, p, q, t)
-            best = max(best, lhs / envelope)
-    _UC_CACHE[key] = best
-    return best
+    inv_q = 0.0 if math.isinf(q) else 1.0 / q
+    # 1/r = 1 - (1/p - 1/q), exactly 1/q at p = 1; the clamp absorbs the
+    # rounding of p within ulps of q
+    inv_r = min(1.0 - 1.0 / p + inv_q, 1.0)
+    r = 1.0 / inv_r if inv_r > 0.0 else math.inf
+    factor = _beckner(1.0 / p) * _beckner(inv_r) * _beckner(1.0 - inv_q)
+    return factor**dim * lr_norm_constant(dim, r)
 
 
 def ultracontractivity_check(
@@ -675,26 +674,23 @@ def ultracontractivity_check(
     p: float,
     q: float,
     t,
-    quad: QuadratureSpec = DEFAULT_QUAD,
 ) -> UltracontractivityResult:
     """Check ||P_t f||_q <= C(N,p,q) V(t)^{-(1/p - 1/q)} e^{-t tr B / q} ||f||_p.
 
-    The constant is the calibration output of
-    :func:`ultracontractivity_constant`; a negative trace of B is legal
-    but flagged, since the large-time decay claims exclude it.  A single
-    Gaussian ``f`` (one term of monomial degree 0) has both norms in
-    closed form in any N and ``method="closed-form"``; for q = inf the
-    lhs is then the exact peak of P_t f.  Any other Schwartz ``f`` takes
-    tensor grids, N <= 3, and ``method="grid"``; the ``tail_bound``
-    allowance is granted on both routes.
+    C is the sharp :func:`ultracontractivity_constant`; a negative trace
+    of B is legal but flagged, since the large-time decay claims exclude
+    it.  ``f`` must be a :class:`TestFunction` on R^N.  A single Gaussian
+    (one term of monomial degree 0) has both norms in closed form in any
+    N and ``method="closed-form"``; for q = inf the lhs is then the exact
+    peak of P_t f.  Any other Schwartz ``f`` takes tensor grids, N <= 3,
+    and ``method="grid"``; the ``tail_bound`` allowance is granted on
+    both routes.
     """
     t = _check_time(t)
-    p = float(p)
-    q = float(q)
-    if not 1.0 <= p <= q:
-        raise DomainError("need 1 <= p <= q")
+    C = ultracontractivity_constant(spec.dim, p, q)
+    _check_function(spec, f, TestFunction)
+    p, q = float(p), float(q)
     lhs, envelope, method = _uc_sides(spec, f, p, q, t)
-    C = ultracontractivity_constant(spec.dim, p, q, quad)
     rhs = C * envelope
     # box truncation plus Gauss-Legendre resolution allowance on the lhs;
     # p = q with trace B = 0 sits exactly on the bound (mass conservation),

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, special, stats
@@ -734,6 +734,21 @@ class TestKernelLrNorm:
         with pytest.raises(DomainError):
             kernel_lr_norm(heat(1), np.zeros(1), 1.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "dim, r", [(2, 0.5), (2, 0.0), (2, math.nan), (2, -math.inf), (0, 2.0), (-1, 2.0)]
+    )
+    def test_constant_rejects_bad_inputs(self, dim, r):
+        with pytest.raises(DomainError):
+            lr_norm_constant(dim, r)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_constant_at_r_inf_is_the_sup_norm(self, dim):
+        # sup of the heat kernel at t = 1 is (4 pi)^{-N/2}, and V(1) = omega_N
+        omega = KernelConstants.for_dim(dim).omega_N
+        want = (4.0 * math.pi) ** (-dim / 2.0) * omega
+        assert lr_norm_constant(dim, math.inf) == pytest.approx(want, rel=1e-15)
+        assert lr_norm_constant(dim, 1e12) == pytest.approx(want, rel=1e-9)
+
 
 class TestUltracontractivity:
     def test_p_equals_q_contracts_on_all_presets(self):
@@ -769,6 +784,7 @@ class TestUltracontractivity:
         assert top >= 0.99 * bound
         result = ultracontractivity_check(spec, f, 1.0, np.inf, t)
         assert result.passed
+        assert result.rhs == pytest.approx(bound, rel=1e-12)
 
     @pytest.mark.parametrize("t", [2.0, 3.0])
     def test_ou_lhs_matches_closed_form(self, t):
@@ -803,11 +819,135 @@ class TestUltracontractivity:
         with pytest.raises(DomainError):
             ultracontractivity_check(heat(1), gaussian(np.zeros(1), np.eye(1)), 2.0, 1.0, 1.0)
 
+    def test_narrow_source_passes(self):
+        # a narrow Gaussian nearly saturates the p = 1 bound; a constant
+        # below the sharp one failed this true inequality
+        f = gaussian(np.zeros(2), np.eye(2) * 5000.0)
+        result = ultracontractivity_check(heat(2), f, 1.0, 2.0, 1.0)
+        assert result.passed
+        assert result.lhs <= result.rhs
+        assert result.rhs == pytest.approx(1.253314e-4, rel=1e-6)
+
+    def test_rejects_non_gaussian_polynomial_f(self):
+        f = CompactBump(np.zeros(2), 0.5, 1.0)
+        with pytest.raises(TypeError):
+            ultracontractivity_check(heat(2), f, 1.0, 2.0, 1.0)
+
+    def test_rejects_dimension_mismatch(self):
+        f = gaussian(np.zeros(3), np.eye(3))
+        with pytest.raises(ValueError, match="dimension mismatch between spec and f"):
+            ultracontractivity_check(heat(2), f, 1.0, 2.0, 1.0)
+
     def test_constant_monotone_in_smoothing_gap(self):
         # more smoothing (larger q at fixed p) costs a smaller constant
         c_12 = ultracontractivity_constant(1, 1.0, 2.0)
         c_14 = ultracontractivity_constant(1, 1.0, 4.0)
         assert 0 < c_14 < c_12 < 1.0
+
+
+PQ_PAIRS = [(1.0, 2.0), (2.0, 4.0), (1.0, math.inf), (1.5, 3.0), (3.0, 7.0), (2.0, math.inf)]
+
+
+def stationary_constant(n, p, q):
+    """C(N, p, q) at the maximiser s* = 2 (1 - 1/p) / (1/p - 1/q) of the
+    heat-kernel Gaussian ratio over s = w^2 / t."""
+    inv_q = 0.0 if math.isinf(q) else 1.0 / q
+    d = 1.0 / p - inv_q
+    s = 2.0 * (1.0 - 1.0 / p) / d
+    omega = KernelConstants.for_dim(n).omega_N
+    q_factor = 1.0 if math.isinf(q) else q ** (-n / (2.0 * q))
+    shape = s ** ((1.0 - 1.0 / p) / 2.0) * (s + 2.0) ** (-(1.0 - inv_q) / 2.0)
+    return (
+        omega**d * (2.0 * math.pi) ** (-n * d / 2.0) * p ** (n / (2.0 * p)) * q_factor * shape**n
+    )
+
+
+def heat_gaussian_ratio(n, p, q, s):
+    """||P_1 f||_q V(1)^{1/p - 1/q} / ||f||_p on heat(N), f = exp(-|x|^2 / (2 s)).
+
+    P_1 f = (s / (s + 2))^{N/2} exp(-|x|^2 / (2 (s + 2))), and the L^m
+    norm of exp(-|x|^2 / (2 v)) is (2 pi v / m)^{N / (2 m)}.
+    """
+    inv_q = 0.0 if math.isinf(q) else 1.0 / q
+    norm_pushed = (s / (s + 2.0)) ** (n / 2.0)
+    if not math.isinf(q):
+        norm_pushed *= (2.0 * math.pi * (s + 2.0) / q) ** (n / (2.0 * q))
+    norm_f = (2.0 * math.pi * s / p) ** (n / (2.0 * p))
+    omega = KernelConstants.for_dim(n).omega_N
+    return norm_pushed * omega ** (1.0 / p - inv_q) / norm_f
+
+
+class TestSharpConstant:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("p, q", PQ_PAIRS)
+    def test_matches_stationary_point(self, n, p, q):
+        got = ultracontractivity_constant(n, p, q)
+        assert got == pytest.approx(stationary_constant(n, p, q), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p, q", PQ_PAIRS)
+    def test_no_gaussian_ratio_exceeds_it(self, n, p, q):
+        C = ultracontractivity_constant(n, p, q)
+        ratios = [heat_gaussian_ratio(n, p, q, s) for s in np.logspace(-9.0, 9.0, 721)]
+        assert max(ratios) <= C * (1.0 + 1e-13)
+        # and the scan comes close to it: the constant is sharp
+        assert max(ratios) >= C * (1.0 - 1e-3)
+
+    @pytest.mark.parametrize("p, q", [(2.0, 4.0), (1.5, 3.0), (2.0, math.inf)])
+    def test_attained_by_the_matched_gaussian(self, p, q):
+        # at s* = w^2 / t the check's own norms put the lhs on the bound
+        inv_q = 0.0 if math.isinf(q) else 1.0 / q
+        s = 2.0 * (1.0 - 1.0 / p) / (1.0 / p - inv_q)
+        for spec in (heat(1), heat(2), heat(4)):
+            t = 0.7
+            f = gaussian(np.zeros(spec.dim), np.eye(spec.dim) / (2.0 * s * t))
+            result = ultracontractivity_check(spec, f, p, q, t)
+            assert result.lhs == pytest.approx(result.rhs, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 4.0, math.inf])
+    def test_p_one_is_young_equality(self, n, q):
+        got = ultracontractivity_constant(n, 1.0, q)
+        assert got == pytest.approx(lr_norm_constant(n, q), rel=1e-14)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+    def test_p_equals_q_is_one(self, p):
+        assert ultracontractivity_constant(3, p, p) == 1.0
+
+    @pytest.mark.parametrize(
+        "p, q", [(0.5, 2.0), (3.0, 2.0), (math.nan, 2.0), (1.0, math.nan), (math.inf, 2.0)]
+    )
+    def test_rejects_bad_exponents(self, p, q):
+        with pytest.raises(DomainError):
+            ultracontractivity_constant(2, p, q)
+        with pytest.raises(DomainError):
+            ultracontractivity_check(heat(2), gaussian(np.zeros(2), np.eye(2)), p, q, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [kolmogorov(1), ornstein_uhlenbeck(2), heat(3)],
+        ids=["kolmogorov1", "ou2", "heat3"],
+    )
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3),
+        st.floats(math.log(0.02), math.log(20.0)),
+        st.sampled_from([(1.0, 2.0), (2.0, 4.0), (1.0, math.inf), (1.5, 3.0)]),
+        st.integers(0, 10**6),
+    )
+    def test_holds_on_gaussians(self, spec, log_shape, log_t, pq, seed):
+        # single Gaussians with shape spectrum log-uniform in [e^-6, e^6]
+        rng = np.random.default_rng(seed)
+        n = spec.dim
+        Qmat, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        shape = (Qmat * np.exp(log_shape[:n])) @ Qmat.T
+        f = gaussian(rng.uniform(-0.5, 0.5, size=n), shape)
+        p, q = pq
+        result = ultracontractivity_check(spec, f, p, q, math.exp(log_t))
+        # steer the search toward the draws closest to the bound
+        target(result.lhs / result.rhs, label="ratio %g %g" % pq)
+        assert result.passed
+        assert result.lhs <= result.rhs * (1.0 + 1e-12)
 
 
 def random_gaussian(rng, dim):

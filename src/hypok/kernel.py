@@ -99,6 +99,14 @@ class LiYauKernelIdentity:
     rhs: float
 
 
+def _rescaled_m_t(inv_K, d):
+    """<K^{-1} d, d>^{1/2} from d scaled by its max |d|, for rows d whose
+    form overflowed (to +-inf, or to nan from inf - inf) although the
+    root is finite."""
+    s = np.max(np.abs(d), axis=-1)
+    return s * np.sqrt(np.maximum(_quad_form(inv_K, d / s[..., None]), 0.0))
+
+
 def pseudo_distance(spec: OperatorSpec, X, Y, t) -> float:
     """Pseudo-distance m_t(X, Y) = <K(t)^{-1} d, d>^{1/2}, d = Y - e^{tB} X.
 
@@ -112,10 +120,18 @@ def pseudo_distance(spec: OperatorSpec, X, Y, t) -> float:
     Y = np.asarray(Y, dtype=float)
     if Y.shape[-1:] != (spec.dim,):
         raise ValueError("Y must have trailing dimension %d" % spec.dim)
-    if not np.isfinite(Y).all():
+    # np.vdot sums the squares in one BLAS pass and, unlike matmul, warns
+    # of no overflow: the sum is finite unless an entry is not (or the sum
+    # overflows, and the exact test decides); the same holds for q below
+    if not math.isfinite(np.vdot(Y, Y)) and not np.isfinite(Y).all():
         raise DomainError("Y has non-finite coordinates")
-    q = _quad_form(g.inv_K_t, Y - g.exp_tB @ X)
+    d = Y - g.exp_tB @ X
+    q = _quad_form(g.inv_K_t, d)
     out = np.sqrt(np.maximum(q, 0.0))
+    if not math.isfinite(np.vdot(q, q)):
+        out = np.array(out)
+        over = ~np.isfinite(q)
+        out[over] = _rescaled_m_t(g.inv_K_t, d[over])
     return out if out.ndim else float(out)
 
 
@@ -134,18 +150,24 @@ def heat_kernel(spec: OperatorSpec, X, Y, t) -> KernelEval:
     X = _point(X, spec.dim)
     Y = _point(Y, spec.dim)
 
+    # vdot is the BLAS dot product of the matmul, without its overflow
+    # warning; a form that overflows is +inf, and the kernel underflows to 0
     d = Y - g.exp_tB @ X
-    q = max(float(d @ (g.inv_K_t @ d)), 0.0)
+    q = float(np.vdot(d, g.inv_K_t @ d))
+    if math.isfinite(q):
+        q = max(q, 0.0)
+        m_t = math.sqrt(q)
+    else:
+        q, m_t = math.inf, float(_rescaled_m_t(g.inv_K_t, d))
     log_a = g.log_norm_m - q / (4.0 * t)
 
     xi = X - g.exp_minus_tB @ Y
-    log_b = g.log_norm_C - 0.25 * float(xi @ (g.inv_C_t @ xi))
+    qc = float(np.vdot(xi, g.inv_C_t @ xi))
+    log_b = g.log_norm_C - 0.25 * (qc if math.isfinite(qc) else math.inf)
 
     # equal logs, -inf included (an overflowing quadratic form), read 0
     residual = 0.0 if log_a == log_b else -math.expm1(-abs(log_a - log_b))
-    return KernelEval(
-        value=math.exp(log_a), m_t=math.sqrt(q), log_value=log_a, form_residual=residual
-    )
+    return KernelEval(value=math.exp(log_a), m_t=m_t, log_value=log_a, form_residual=residual)
 
 
 def pseudo_ball_contains(spec: OperatorSpec, X, r, t, Y) -> bool:

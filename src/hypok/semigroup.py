@@ -7,11 +7,17 @@ Compactly supported profiles, which have no closed form, go to a
 counter-based Monte Carlo fallback that reports its standard error;
 its draws are generated once per (N, sample count, seed) and shared by
 every call, so the values along a Poisson time grid use common random
-numbers.  A bump is radial, so its sampled points are never built: the
-draw set also holds the products w_i w_j of its coordinates, and the
-squared radii |A w + m|^2 of a block of ``MC_NODE_BLOCK`` times come
-from one small matrix product per replicate.  Only a ModulatedBump
-builds the points, for its Gaussian-polynomial factor.  The Poisson
+numbers.  A bump is radial, so its sampled points are never built:
+each replicate of the draw set is sorted by radius |w| and holds, next
+to the draws, the products w_i w_j of its coordinates and the sorted
+radii.  The radius |A w + m| lies between sigma_min |w| - |m| and
+sigma_max |w| + |m|, so two searches in the sorted radii certify the
+samples a time node sends exactly to 1 (plateau) or 0 (exterior), and
+only the slice of uncertain samples between them is evaluated.  Their
+squared radii for a block of ``MC_NODE_BLOCK`` times come from one small
+matrix product per replicate.  Only a ModulatedBump builds the points,
+for its Gaussian-polynomial factor, and it takes only the exterior
+cut.  The Poisson
 semigroup is subordinated to P_t with the time axis split at t = z^2
 and mapped onto (0, 1] on each side, so both the flat short-time end
 and the algebraic long-time decay are analytic in the quadrature
@@ -59,6 +65,7 @@ from .operator_core import (
     DomainError,
     KernelConstants,
     OperatorSpec,
+    _block_gramians,
     _check_time,
     gramian_profile,
     gramians,
@@ -94,11 +101,17 @@ __all__ = [
 
 MC_REPLICATES = 8
 # Monte Carlo draw sets kept by _mc_draw_set; at the default mc_samples
-# one holds 2^16 * (N + N (N + 1) / 2) floats (2.6 MB for N = 2)
+# one holds 2^16 * (N + N (N + 1) / 2 + 1) floats (3.1 MB for N = 2)
 MC_DRAWS_CACHE_SIZE = 8
 # time nodes whose squared radii one matrix product gives; a block of
 # the default 8192 draws per replicate is then a 256 KB buffer
 MC_NODE_BLOCK = 4
+# relative slack of the radius bounds that certify plateau and exterior
+# samples in _mc_means.  At a certified exterior sample the squared
+# radius exceeds r_out^2 by at least (slack U)^2, U = sigma_max |w| + |m|,
+# while the expanded form rounds it by about N^2 eps U^2: the square of
+# the slack, not the slack, must clear the rounding
+MC_CERT_SLACK = 1e-6
 # points per block of a tensor grid; bounds the memory of every grid sum.
 # One coordinate or value array of a block is then 64 KB, below glibc's
 # default 128 KB mmap threshold, so the temporaries of each block are
@@ -115,12 +128,16 @@ class QuadratureSpec:
     512)`` standard normal points, so ``mc_samples=1024`` draws 4096.
     The draw set is built once per ``(dim, mc_samples, rng_seed)`` and
     shared by every call, whatever its time, point or function: values
-    at different times use common random numbers.  It keeps the products
-    w_i w_j (i <= j) next to the draws, ``N + N (N + 1) / 2`` floats per
-    sample: 5 rows x 65 536 floats = 2.6 MB at N = 2 with the default
-    ``mc_samples``, where the draws alone take 1 MB.  Bump values are
-    read off squared radii, one matrix product per replicate for each
-    block of ``MC_NODE_BLOCK`` time nodes.
+    at different times use common random numbers.  Each replicate is
+    sorted by radius |w|, and the set keeps the products w_i w_j (i <= j)
+    and the sorted radii next to the draws, ``N + N (N + 1) / 2 + 1``
+    floats per sample: 6 rows x 65 536 floats = 3.1 MB at N = 2 with the
+    default ``mc_samples``, where the draws alone take 1 MB.  Bump values
+    are read off squared radii, one matrix product per replicate for
+    each block of ``MC_NODE_BLOCK`` time nodes, and only for the samples
+    that the radius certificate of ``_mc_means`` leaves uncertain: the
+    others lie certainly in the plateau (value 1) or beyond the outer
+    radius (value 0).
 
     :func:`apply_poisson` splits its time axis in two halves of
     ``time_nodes // 2`` Gauss-Legendre nodes each, so a call evaluates
@@ -247,35 +264,32 @@ def _pairs(dim):
 
 @lru_cache(maxsize=MC_DRAWS_CACHE_SIZE)
 def _mc_draw_set(dim, mc_samples, rng_seed):
-    """Read-only rows (MC_REPLICATES, dim + dim (dim + 1) / 2, per) of draws.
+    """Read-only rows (MC_REPLICATES, dim + dim (dim + 1) / 2 + 1, per) of draws.
 
-    The first ``dim`` rows of replicate i are the standard normal stream
-    of Philox(key=[rng_seed, i]) drawn as (per, dim) and stored
-    transposed, so each coordinate is a row and elementwise work on the
-    points runs along the long axis.  The other rows are the products
-    w_i w_j (i <= j, in ``np.triu_indices`` order), so a squared radius
-    |A w + m|^2 is one linear combination of the rows plus |m|^2.  At
-    the default mc_samples a set is 2.6 MB for N = 2, 7.3 MB for N = 4.
+    Replicate i holds the standard normal stream of Philox(key=[rng_seed,
+    i]), drawn as (per, dim) and sorted by radius |w|.  Its first ``dim``
+    rows are the sorted draws transposed, so each coordinate is a row and
+    elementwise work on the points runs along the long axis.  The next
+    rows are the products w_i w_j (i <= j, in ``np.triu_indices`` order),
+    so a squared radius |A w + m|^2 is one linear combination of the rows
+    plus |m|^2.  The last row holds the ascending radii |w|, which
+    :func:`_mc_means` searches for the samples a bump certainly sends to
+    1 or 0.  At the default mc_samples a set is 3.1 MB for N = 2, 7.9 MB
+    for N = 4.
     """
     per = max(mc_samples // MC_REPLICATES, 512)
     i, j, _ = _pairs(dim)
-    rows = np.empty((MC_REPLICATES, dim + i.size, per))
+    rows = np.empty((MC_REPLICATES, dim + i.size + 1, per))
     for k in range(MC_REPLICATES):
         rng = np.random.Generator(np.random.Philox(key=[rng_seed, k]))
-        w = rows[k, :dim]
-        w[...] = rng.standard_normal(size=(per, dim)).T
-        np.multiply(w[i], w[j], out=rows[k, dim:])
+        w = rng.standard_normal(size=(per, dim))
+        radii = np.linalg.norm(w, axis=1)
+        order = np.argsort(radii, kind="stable")
+        rows[k, :dim] = w[order].T
+        np.multiply(rows[k, i], rows[k, j], out=rows[k, dim:-1])
+        rows[k, -1] = radii[order]
     rows.setflags(write=False)
     return rows
-
-
-def _mc_draws(dim, mc_samples, rng_seed):
-    """Read-only Philox draws (MC_REPLICATES, dim, per): the first rows
-    of the draw set, whose one cache entry is 2.6 MB at N = 2 and the
-    default mc_samples (1 MB of it the draws, the rest the products that
-    give the radial route its squared radii, node block by node block).
-    """
-    return _mc_draw_set(dim, mc_samples, rng_seed)[:, :dim]
 
 
 def _check_function(spec, f, kinds):
@@ -298,16 +312,24 @@ def _check_input(spec, f, X, kinds):
 def _mc_means(f, mus, roots, quad):
     """Replicate means (K, MC_REPLICATES) of f(mu_k + A_k W), k < K.
 
-    W runs over the shared draw set of ``quad``.  The bump is radial, so
-    its values need only the squared radius |A w + m|^2 with m = mu -
-    center, which is w'(A'A) w + 2 (A'm)'w + |m|^2: linear in the rows
-    of the draw set.  The nodes go in blocks of MC_NODE_BLOCK, each
-    block one small matrix product per replicate; the buffers are
-    reused across blocks.  Only a ModulatedBump builds the points, for
-    its Gaussian-polynomial factor.
+    W runs over the shared draw set of ``quad``; each A_k is symmetric.
+    The bump is radial, so its values need only the squared radius
+    |A w + m|^2 with m = mu - center, which is w'(A'A) w + 2 (A'm)'w +
+    |m|^2: linear in the rows of the draw set.  Since |A w + m| lies
+    between sigma_min |w| - |m| and sigma_max |w| + |m| (sigma: the
+    |eigenvalues| of A_k), two searches in the sorted radii give each
+    node's count ``lo`` of samples certainly in the plateau and first
+    sample ``hi`` certainly outside (the bounds widened by
+    ``MC_CERT_SLACK``).  A block of MC_NODE_BLOCK nodes evaluates only
+    the column slice [min lo, max hi), one small matrix product per
+    replicate into the reused buffers, and counts the min lo samples
+    before it as 1.  Only a ModulatedBump builds the points, for its
+    Gaussian-polynomial factor; its plateau values vary, so it takes
+    only the exterior cut.
     """
     n = mus.shape[1]
     rows = _mc_draw_set(n, quad.mc_samples, quad.rng_seed)
+    per = rows.shape[2]
     bump, factor = (f.bump, f.f) if isinstance(f, ModulatedBump) else (f, None)
     m = mus - bump.center
     M = np.swapaxes(roots, -1, -2) @ roots
@@ -316,23 +338,54 @@ def _mc_means(f, mus, roots, quad):
     coef = np.concatenate([2.0 * (m[:, None, :] @ roots)[:, 0], weight * M[:, i, j]], axis=1)
     shift = np.sum(m * m, axis=1, keepdims=True)
     K = mus.shape[0]
+
+    # radius bounds (sig_lo |w| - reach, sig_hi |w| + reach), each widened
+    # by MC_CERT_SLACK (sigma_max |w| + |m|); a NaN bound certifies nothing
+    sig = np.abs(np.linalg.eigvalsh(roots))
+    sig_max = sig.max(axis=1)
+    sig_hi = (1.0 + MC_CERT_SLACK) * sig_max
+    sig_lo = sig.min(axis=1) - MC_CERT_SLACK * sig_max
+    reach = (1.0 + MC_CERT_SLACK) * np.sqrt(shift[:, 0])
+    room = bump.inner_radius - reach
+    rho_in = np.full(K, -1.0)
+    if factor is None:
+        np.divide(room, sig_hi, out=rho_in, where=room > 0.0)
+    rho_out = np.divide(
+        bump.outer_radius + reach, sig_lo, out=np.full(K, np.inf), where=sig_lo > 0.0
+    )
+
     means = np.empty((K, MC_REPLICATES))
-    r2 = np.empty((min(K, MC_NODE_BLOCK), rows.shape[2]))
-    vals = np.empty_like(r2)
+    size = min(K, MC_NODE_BLOCK) * per
+    r2, vals = np.empty(size), np.empty(size)
+    # per replicate and block: the samples before start are plateau
+    # samples of every node, those from stop on exterior samples of every node
+    lo = np.array([np.searchsorted(radii, rho_in, side="right") for radii in rows[:, -1]])
+    hi = np.array([np.searchsorted(radii, rho_out, side="left") for radii in rows[:, -1]])
+    firsts = np.arange(0, K, MC_NODE_BLOCK)
+    starts = np.minimum.reduceat(lo, firsts, axis=1).tolist()
+    stops = np.maximum.reduceat(hi, firsts, axis=1).tolist()
     for rep in range(MC_REPLICATES):
-        for lo in range(0, K, MC_NODE_BLOCK):
-            blk = slice(lo, min(lo + MC_NODE_BLOCK, K))
-            b_r2, b_vals = r2[: blk.stop - lo], vals[: blk.stop - lo]
-            np.matmul(coef[blk], rows[rep], out=b_r2)
+        draws = rows[rep]
+        for first, start, stop in zip(firsts.tolist(), starts[rep], stops[rep]):
+            blk = slice(first, min(first + MC_NODE_BLOCK, K))
+            out = means[blk, rep]
+            if start == stop:
+                out[...] = start
+                continue
+            shape = (blk.stop - first, stop - start)
+            b_r2 = r2[: shape[0] * shape[1]].reshape(shape)
+            b_vals = vals[: b_r2.size].reshape(shape)
+            np.matmul(coef[blk], draws[:-1, start:stop], out=b_r2)
             b_r2 += shift[blk]
             bump.profile(b_r2, out=b_vals)
             if factor is not None:
-                Y = roots[blk] @ rows[rep, :n]
+                Y = roots[blk] @ draws[:n, start:stop]
                 Y += mus[blk, :, None]
-                # (nodes, per, N) views, column-major like the grid blocks
+                # (nodes, samples, N) views, column-major like the grid blocks
                 b_vals *= factor.value(np.swapaxes(Y, 1, 2))
-            np.add.reduce(b_vals, axis=1, out=means[blk, rep])
-    means /= rows.shape[2]
+            np.add.reduce(b_vals, axis=1, out=out)
+            out += start
+    means /= per
     return means
 
 
@@ -496,11 +549,16 @@ def kernel_lr_norm(spec: OperatorSpec, Y, t, r) -> float:
     Y = np.asarray(Y, dtype=float)
     if Y.shape != (spec.dim,):
         raise ValueError("Y must be a point in R^%d" % spec.dim)
-    g = gramians(spec, t)
+    # only log det C(t) is needed: no Gramian bundle is built or cached
+    _, _, C, _ = _block_gramians(spec, np.array([t]))
+    sign, logdet_C = np.linalg.slogdet(C[0])
+    if sign <= 0:
+        raise DomainError(f"C(t) is not positive definite in floating point at t={t}")
     n = spec.dim
+    log_norm_C = -0.5 * n * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * logdet_C
     # log of the integral of the kernel's Gaussian factor to the power r
-    log_mass = n * math.log(2.0) + 0.5 * g.logdet_C + 0.5 * n * math.log(math.pi / r)
-    return math.exp(g.log_norm_C + log_mass / r)
+    log_mass = n * math.log(2.0) + 0.5 * logdet_C + 0.5 * n * math.log(math.pi / r)
+    return math.exp(log_norm_C + log_mass / r)
 
 
 def _pushed_geometry(spec, f: TestFunction, t):

@@ -1,6 +1,7 @@
 """Tests for the explicit kernel: closed forms, pseudo-distance, exact identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,27 @@ class TestHeatKernel:
         with np.errstate(over="ignore"):
             ev = heat_kernel(heat(1), [1e200], [0.0], 1.0)
         assert (ev.value, ev.log_value, ev.form_residual) == (0.0, -math.inf, 0.0)
+
+
+    def test_overflowing_form_keeps_m_t(self):
+        # <K^{-1} d, d> overflows where m_t is about 1e160: to +inf on heat(2),
+        # to -inf or nan (inf - inf) on kolmogorov(1); m_t is homogeneous
+        cases = (
+            (heat(2), [1e160, 0.0], 1e160),
+            (kolmogorov(1), [1e160, -1e160], 1e160 * pseudo_distance(kolmogorov(1), [0.0, 0.0], [1.0, -1.0], 1.0)),
+        )
+        for spec, Y, m_t in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ev = heat_kernel(spec, [0.0, 0.0], Y, 1.0)
+                batch = pseudo_distance(spec, [0.0, 0.0], [Y, [0.3, -0.4], Y], 1.0)
+                single = pseudo_distance(spec, [0.0, 0.0], Y, 1.0)
+            assert ev.m_t == pytest.approx(m_t, rel=1e-15, abs=0.0)
+            assert (ev.value, ev.log_value, ev.form_residual) == (0.0, -math.inf, 0.0)
+            small = pseudo_distance(spec, [0.0, 0.0], [0.3, -0.4], 1.0)
+            assert batch[1] == small
+            assert batch[[0, 2]] == pytest.approx([m_t, m_t], rel=1e-15, abs=0.0)
+            assert single == pytest.approx(m_t, rel=1e-15, abs=0.0)
 
 
 class TestPseudoBall:

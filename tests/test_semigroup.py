@@ -16,6 +16,7 @@ from hypok.operator_core import (
     DomainError,
     KernelConstants,
     _gramian_bundle,
+    gramian_profile,
     gramians,
     heat,
     kolmogorov,
@@ -38,7 +39,7 @@ from hypok.semigroup import (
     ultracontractivity_check,
     ultracontractivity_constant,
     _mc_draw_set,
-    _mc_draws,
+    _mc_means,
 )
 from hypok.testfuncs import (
     CompactBump,
@@ -51,6 +52,7 @@ from hypok.testfuncs import (
     gaussian,
     linear,
 )
+from test_kernel import CHAIN3
 from test_testfuncs import gh_semigroup
 
 PRESETS = lambda: (heat(1), heat(2), kolmogorov(1), ornstein_uhlenbeck(2))
@@ -166,6 +168,18 @@ def mc_loop_reference(spec, f, t, X, quad=DEFAULT_QUAD):
         draws = rng.standard_normal(size=(per, spec.dim))
         means[i] = float(np.mean(f.value(mu + draws @ A.T)))
     return float(np.mean(means)), float(np.std(means, ddof=1) / math.sqrt(MC_REPLICATES))
+
+
+def mc_means_every_sample(f, mus, roots, quad):
+    """Replicate means of f(mu_k + A_k w), every sample of the draw set evaluated."""
+    n = mus.shape[1]
+    rows = _mc_draw_set(n, quad.mc_samples, quad.rng_seed)
+    means = np.empty((mus.shape[0], MC_REPLICATES))
+    for k in range(mus.shape[0]):
+        for rep in range(MC_REPLICATES):
+            Y = mus[k] + (roots[k] @ rows[rep, :n]).T
+            means[k, rep] = np.mean(f.value(Y))
+    return means
 
 
 def heat2_bump_radial(bump, var, X):
@@ -376,22 +390,30 @@ class TestMonteCarloFallback:
         assert a.value != b.value
 
     def test_draws_are_the_philox_streams(self):
+        # each replicate is its Philox stream, permuted to ascending radius
         seed = 12345
-        draws = _mc_draws(3, 2**14, seed)
+        rows = _mc_draw_set(3, 2**14, seed)
         per = 2**14 // MC_REPLICATES
-        assert draws.shape == (MC_REPLICATES, 3, per)
+        assert rows.shape == (MC_REPLICATES, 10, per)
         for i in range(MC_REPLICATES):
             rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-            assert np.array_equal(draws[i], rng.standard_normal(size=(per, 3)).T)
+            stream = rng.standard_normal(size=(per, 3))
+            radii = np.linalg.norm(stream, axis=1)
+            order = np.argsort(radii, kind="stable")
+            assert np.array_equal(rows[i, :3], stream[order].T)
+            assert np.array_equal(np.sort(rows[i, :3].T.ravel()), np.sort(stream.ravel()))
+            assert np.array_equal(rows[i, -1], radii[order])
+            assert np.array_equal(rows[i, -1], np.linalg.norm(rows[i, :3].T, axis=1))
+            assert np.all(np.diff(rows[i, -1]) >= 0.0)
 
     def test_small_sample_counts_draw_512_per_replicate(self):
-        assert _mc_draws(2, 1024, 1).shape == (MC_REPLICATES, 2, 512)
+        assert _mc_draw_set(2, 1024, 1).shape == (MC_REPLICATES, 6, 512)
 
     def test_draws_are_read_only(self):
-        draws = _mc_draws(2, 1024, 3)
-        assert not draws.flags.writeable
+        rows = _mc_draw_set(2, 1024, 3)
+        assert not rows.flags.writeable
         with pytest.raises(ValueError):
-            draws[0, 0, 0] = 1.0
+            rows[0, 0, 0] = 1.0
 
     def test_draws_are_built_once(self):
         quad = QuadratureSpec(time_nodes=80, mc_samples=1024, rng_seed=99)
@@ -435,14 +457,74 @@ class TestMonteCarloFallback:
             got = apply_semigroup_report(spec, bump, t, X)
         assert got.value == 1.0 and got.stderr == 0.0
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        which=st.integers(0, 5),
+        log_t=st.floats(math.log(1e-9), math.log(1e8)),
+        place=st.sampled_from(["inside", "on", "far"]),
+        modulated=st.booleans(),
+        seed=st.integers(0, 10**6),
+    )
+    def test_certified_means_match_every_sample(self, which, log_t, place, modulated, seed):
+        # the certificate skips only samples whose value is exactly 1 or 0,
+        # so the means are those of every sample, up to summation order;
+        # six nodes make a full and a partial block of MC_NODE_BLOCK
+        spec = (PRESETS() + (kolmogorov(2), CHAIN3))[which]
+        t = math.exp(log_t)
+        if spec == ornstein_uhlenbeck(2):
+            # its Gramians break down past t of about 400; the nodes reach 2 t
+            t = min(t, 150.0)
+        rng = np.random.default_rng(seed)
+        n = spec.dim
+        prof = gramian_profile(spec, t * np.geomspace(1.0, 2.0, 6))
+        roots = sym_sqrt(2.0 * prof.tK_t)
+        # s: the widest standard deviation of the first node's law.  The
+        # reference forms the points mu + A w, which keep A w only to the
+        # ulp of mu, so the start point is no larger than s
+        s = float(np.max(np.abs(np.linalg.eigvalsh(roots[0]))))
+        X = min(s, 1.0) * rng.uniform(-1.0, 1.0, size=n)
+        mus = prof.exp_tB @ X
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        offset, r_in = {
+            "inside": (0.3, rng.uniform(8.0, 20.0)),
+            "on": (0.0, rng.uniform(0.2, 3.0)),
+            "far": (50.0, rng.uniform(0.2, 3.0)),
+        }[place]
+        center = mus[0] + offset * s * u
+        bump = CompactBump(center, r_in * s, (r_in + rng.uniform(0.1, 3.0)) * s)
+        f = bump
+        if modulated:
+            f = ModulatedBump(bump, gaussian(center + s * u, np.eye(n) / (4.0 * s * s)))
+        quad = QuadratureSpec(mc_samples=2**14)
+        got = _mc_means(f, mus, roots, quad)
+        want = mc_means_every_sample(f, mus, roots, quad)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_certified_calls_evaluate_no_bump(self, monkeypatch):
+        # at t = 1e-9 every sample lies in the plateau of a bump centred at
+        # the mean, at t = 1e8 every one lies beyond the bump
+        sizes = []
+        profile = CompactBump.profile
+
+        def counted(bump, r2, out=None):
+            sizes.append(r2.size)
+            return profile(bump, r2, out)
+
+        monkeypatch.setattr(CompactBump, "profile", counted)
+        spec, X = heat(2), np.array([0.3, -0.2])
+        inner = apply_semigroup_report(spec, CompactBump(X, 0.4, 1.1), 1e-9, X)
+        outer = apply_semigroup_report(spec, CompactBump(X + 0.2, 0.4, 1.1), 1e8, X)
+        assert (inner.value, inner.stderr) == (1.0, 0.0)
+        assert (outer.value, outer.stderr) == (0.0, 0.0)
+        assert sum(sizes) == 0
+
     def test_draw_set_rows_are_the_draw_products(self):
         rows = _mc_draw_set(3, 2**12, 5)
-        draws = _mc_draws(3, 2**12, 5)
         i, j = np.triu_indices(3)
-        assert rows.shape == (MC_REPLICATES, 9, 2**12 // MC_REPLICATES)
+        assert rows.shape == (MC_REPLICATES, 10, 2**12 // MC_REPLICATES)
         assert not rows.flags.writeable
-        assert np.array_equal(rows[:, :3], draws)
-        assert np.array_equal(rows[:, 3:], draws[:, i] * draws[:, j])
+        assert np.array_equal(rows[:, 3:9], rows[:, i] * rows[:, j])
 
 
 class TestSemigroupGradient:
@@ -729,6 +811,20 @@ class TestKernelLrNorm:
         a = kernel_lr_norm(spec, np.zeros(2), 0.8, 2.5)
         b = kernel_lr_norm(spec, np.array([3.0, -1.0]), 0.8, 2.5)
         assert a == pytest.approx(b, rel=1e-14)
+
+    def test_builds_no_gramian_bundle(self):
+        # only log det C(t) is read: no bundle is built or cached, and the
+        # value is the bundle formula's to the last bit
+        _gramian_bundle.cache_clear()
+        for spec in PRESETS() + (kolmogorov(2), CHAIN3):
+            n = spec.dim
+            for t, r in ((0.37, 1.0), (1.9, 2.5)):
+                got = kernel_lr_norm(spec, np.zeros(n), t, r)
+                assert _gramian_bundle.cache_info().currsize == 0
+                g = gramians(spec, t)
+                log_mass = n * math.log(2.0) + 0.5 * g.logdet_C + 0.5 * n * math.log(math.pi / r)
+                assert got == math.exp(g.log_norm_C + log_mass / r)
+                _gramian_bundle.cache_clear()
 
     def test_rejects_r_below_one(self):
         with pytest.raises(DomainError):

@@ -100,9 +100,10 @@ class LiYauKernelIdentity:
 
 
 def _rescaled_m_t(inv_K, d):
-    """<K^{-1} d, d>^{1/2} from d scaled by its max |d|, for rows d whose
-    form overflowed (to +-inf, or to nan from inf - inf) although the
-    root is finite."""
+    """<K^{-1} d, d>^{1/2} from d scaled by its max |d|, for rows d != 0
+    whose form overflowed (to +-inf, or to nan from inf - inf) or sank
+    below tiny / eps = 2^-970, where subnormals cost it relative digits,
+    although the root is a normal float."""
     s = np.max(np.abs(d), axis=-1)
     return s * np.sqrt(np.maximum(_quad_form(inv_K, d / s[..., None]), 0.0))
 
@@ -128,10 +129,10 @@ def pseudo_distance(spec: OperatorSpec, X, Y, t) -> float:
     d = Y - g.exp_tB @ X
     q = _quad_form(g.inv_K_t, d)
     out = np.sqrt(np.maximum(q, 0.0))
-    if not math.isfinite(np.vdot(q, q)):
+    if not (math.isfinite(np.vdot(q, q)) and q.min(initial=math.inf) >= 2.0**-970):
         out = np.array(out)
-        over = ~np.isfinite(q)
-        out[over] = _rescaled_m_t(g.inv_K_t, d[over])
+        redo = ~((q >= 2.0**-970) & (q < math.inf)) & d.any(axis=-1)
+        out[redo] = _rescaled_m_t(g.inv_K_t, d[redo])
     return out if out.ndim else float(out)
 
 
@@ -154,11 +155,11 @@ def heat_kernel(spec: OperatorSpec, X, Y, t) -> KernelEval:
     # warning; a form that overflows is +inf, and the kernel underflows to 0
     d = Y - g.exp_tB @ X
     q = float(np.vdot(d, g.inv_K_t @ d))
-    if math.isfinite(q):
-        q = max(q, 0.0)
+    q = max(q, 0.0) if math.isfinite(q) else math.inf
+    if 2.0**-970 <= q < math.inf or not d.any():
         m_t = math.sqrt(q)
     else:
-        q, m_t = math.inf, float(_rescaled_m_t(g.inv_K_t, d))
+        m_t = float(_rescaled_m_t(g.inv_K_t, d))
     log_a = g.log_norm_m - q / (4.0 * t)
 
     xi = X - g.exp_minus_tB @ Y

@@ -21,8 +21,12 @@ degree-13 Pade approximant. The powers ``M^0 .. M^13`` and three norms of
 numerators and denominators of a whole time grid in one matrix product.
 One batched solve follows, and each time is then squared ``s(t)`` times.
 The powers of ``H`` are kept per spec, so a grid of times costs one pass.
-``OperatorSpec`` compares and hashes by the content of ``(Q, B)``, which
-lets :func:`gramians` memoise one bundle per ``(spec, t)``.
+Every Gramian comes from one checked engine, ``_block_gramians``, which
+raises ``DomainError`` at a time where ``e^{tB}`` is singular, or where
+``t K(t)`` or ``C(t)`` is not positive definite with a finite
+log-determinant (overflow and NaN included). ``OperatorSpec`` compares
+and hashes by the content of ``(Q, B)``, which lets :func:`gramians`
+memoise one bundle per ``(spec, t)``.
 """
 
 from __future__ import annotations
@@ -299,25 +303,33 @@ def _block_powers(spec: OperatorSpec) -> _ExpPowers:
 
 
 def _block_gramians(spec: OperatorSpec, ts: np.ndarray):
-    """Batched (exp_tB, exp_minus_tB, C_t, tK_t) via the augmented block exponential.
+    """(exp_tB, exp_minus_tB, C_t, tK_t, logdet_tK, logdet_C), stacked over
+    the 1-D array ``ts`` of positive finite times, from one pass.
 
     With H = [[B, Q], [0, -B']], exp(tH) has blocks E11 = e^{tB},
     E12 = e^{tB} C(t) and E22 = e^{-tB'}; then C(t) = E11^{-1} E12,
     t K(t) = E12 E11' and e^{-tB} = E22'.
     """
     n = spec.dim
-    E = _exp_grid(_block_powers(spec), ts)
-    E11 = E[:, :n, :n]
-    E12 = E[:, :n, n:]
-    E22T = np.swapaxes(E[:, n:, n:], -1, -2)
-    try:
-        C = np.linalg.solve(E11, E12)
-    except np.linalg.LinAlgError:
-        raise DomainError("e^{tB} is singular in floating point on the time grid") from None
-    C = 0.5 * (C + np.swapaxes(C, -1, -2))
-    tK = E12 @ np.swapaxes(E11, -1, -2)
-    tK = 0.5 * (tK + np.swapaxes(tK, -1, -2))
-    return E11, E22T, C, tK
+    # an overflow or a NaN reaches the check below instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _exp_grid(_block_powers(spec), ts)
+        E11, E12, E22T = E[:, :n, :n], E[:, :n, n:], E[:, n:, n:].transpose(0, 2, 1)
+        try:
+            C = np.linalg.solve(E11, E12)
+        except np.linalg.LinAlgError:
+            raise DomainError("e^{tB} is singular in floating point on the time grid") from None
+        C = 0.5 * (C + C.transpose(0, 2, 1))  # about 1 us less than np.swapaxes
+        tK = E12 @ E11.transpose(0, 2, 1)
+        tK = 0.5 * (tK + tK.transpose(0, 2, 1))
+        # each LAPACK routine runs once over both Gramians (per matrix, the
+        # result of a separate call)
+        signs, logdets = np.linalg.slogdet(np.concatenate((tK, C)))
+    # every sign 1 and every log-determinant finite, a NaN failing both;
+    # Python on lists costs less than np.all at a single time
+    if signs.tolist().count(1.0) < len(signs) or not all(map(math.isfinite, logdets.tolist())):
+        raise DomainError("t*K(t) or C(t) is not positive definite and finite on the time grid")
+    return E11, E22T, C, tK, logdets[: len(ts)], logdets[len(ts) :]
 
 
 def gramians(spec: OperatorSpec, t: float) -> GramianBundle:
@@ -329,27 +341,13 @@ def gramians(spec: OperatorSpec, t: float) -> GramianBundle:
     most ``GRAMIAN_CACHE_SIZE`` bundles are kept, least recently used first
     out.
     """
-    if not (t > 0):
-        raise DomainError(f"gramians: t must be > 0, got {t}")
-    return _gramian_bundle(spec, float(t))
+    return _gramian_bundle(spec, _check_time(t))
 
 
 @functools.lru_cache(maxsize=GRAMIAN_CACHE_SIZE)
 def _gramian_bundle(spec: OperatorSpec, t: float) -> GramianBundle:
-    E11, E22T, C, tK = _block_gramians(spec, np.array([t]))
+    E11, E22T, C, tK, logdet_tK, logdet_C = _block_gramians(spec, np.array([t]))
     K = tK / t
-    # each LAPACK routine runs once over both Gramians (per matrix, the
-    # result of a separate call), which pays for the kernel scalars below
-    (sign, sign_C), logdets = np.linalg.slogdet(np.concatenate((tK, C)))
-    if sign <= 0:
-        raise DomainError(
-            f"gramians: t*K(t) is not positive definite at t={t}; "
-            "spec is not hypoelliptic (internal consistency)"
-        )
-    if sign_C <= 0:
-        raise DomainError(
-            f"gramians: C(t) is not positive definite in floating point at t={t}"
-        )
     inv_K_t, inv_C_t = np.linalg.inv(np.concatenate((K, C)))
     arrays = dict(
         exp_tB=E11[0],
@@ -363,7 +361,7 @@ def _gramian_bundle(spec: OperatorSpec, t: float) -> GramianBundle:
         a.setflags(write=False)
     n = spec.dim
     const = KernelConstants.for_dim(n)
-    logdet_tK, logdet_C = logdets.tolist()
+    (logdet_tK,), (logdet_C,) = logdet_tK.tolist(), logdet_C.tolist()
     return GramianBundle(
         t=t,
         det_tK=float(np.exp(logdet_tK)),
@@ -374,31 +372,6 @@ def _gramian_bundle(spec: OperatorSpec, t: float) -> GramianBundle:
         log_norm_C=-0.5 * n * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * logdet_C,
         **arrays,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class GramianProfile:
-    """Gramian quantities stacked over a time grid (for time integrals)."""
-
-    ts: np.ndarray
-    exp_tB: np.ndarray   # (m, N, N)
-    C_t: np.ndarray      # (m, N, N)
-    tK_t: np.ndarray     # (m, N, N)
-    logdet_tK: np.ndarray  # (m,)
-
-
-def gramian_profile(spec: OperatorSpec, ts) -> GramianProfile:
-    """Vectorized gramians over a 1-D array of times (one pass of the engine)."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(ts <= 0):
-        raise DomainError("gramian_profile: all times must be > 0")
-    E11, _, C, tK = _block_gramians(spec, ts)
-    sign, logdet = np.linalg.slogdet(tK)
-    if np.any(sign <= 0):
-        raise DomainError("gramian_profile: t*K(t) not positive definite on the grid")
-    if np.any(np.linalg.slogdet(C)[0] <= 0):
-        raise DomainError("gramian_profile: C(t) not positive definite on the grid")
-    return GramianProfile(ts=ts, exp_tB=E11, C_t=C, tK_t=tK, logdet_tK=logdet)
 
 
 @dataclass(frozen=True)
@@ -421,8 +394,10 @@ def hypoellipticity_check(spec: OperatorSpec) -> HypoellipticityReport:
     symmetric PSD root of Q. Both verdicts are reported; they must agree.
     """
     n = spec.dim
-    *_, tK = _block_gramians(spec, np.array([1.0]))
-    K1 = tK[0]
+    # K(1) unchecked: a spec that is not hypoelliptic is reported, not raised
+    E = _exp_grid(_block_powers(spec), np.ones(1))
+    tK = E[:, :n, n:] @ np.swapaxes(E[:, :n, :n], -1, -2)
+    K1 = 0.5 * (tK + np.swapaxes(tK, -1, -2))[0]
     lam_min = float(np.linalg.eigvalsh(K1)[0])
     tol_pd = TOL_PD_REL * max(np.linalg.norm(K1, 2), 1e-300)
     spectral = lam_min > tol_pd
@@ -453,13 +428,10 @@ def logdet_derivative_identity(spec: OperatorSpec, t: float) -> float:
     normalized by the size of its leading term: for expanding drifts the terms
     grow like e^{2t||B||} and an absolute residual would be pure roundoff.
     """
-    if not (t > 0):
-        raise DomainError(f"logdet_derivative_identity: t must be > 0, got {t}")
-    g = gramians(spec, t)
+    g = gramians(spec, t)  # validates t
     trQCinv = g.trace_Q_inv_C
     h = 1e-5 * t
-    prof = gramian_profile(spec, np.array([t - h, t + h]))
-    _, ld = np.linalg.slogdet(prof.C_t)
+    *_, ld = _block_gramians(spec, np.array([t - h, t + h]))
     ddt_logdetC = float((ld[1] - ld[0]) / (2 * h))
     scalar_res = abs(trQCinv - ddt_logdetC - 2 * spec.trace_B) / (1.0 + abs(trQCinv))
 

@@ -22,11 +22,11 @@ semigroup is subordinated to P_t with the time axis split at t = z^2
 and mapped onto (0, 1] on each side, so both the flat short-time end
 and the algebraic long-time decay are analytic in the quadrature
 variable.
-A Poisson call builds its whole time grid first and takes one Gramian
-profile for it: the closed form is batched over the grid, and a compact
-profile takes its Monte Carlo means for the whole grid in one pass over
-node blocks, from the batched means e^{tB} X and sampling factors
-(2 tK(t))^{1/2}, leaving the per-time Gramian memo untouched.
+A Poisson call builds its whole time grid first and takes one pass of
+the Gramian engine for it: the closed form is batched over the grid,
+and a compact profile takes its Monte Carlo means for the whole grid in
+one pass over node blocks, from the batched means e^{tB} X and sampling
+factors (2 tK(t))^{1/2}, leaving the per-time Gramian memo untouched.
 
 The L^p -> L^q smoothing check reads both norms of a single Gaussian
 (one term of monomial degree 0) in closed form, in any N: f and P_t f
@@ -67,7 +67,6 @@ from .operator_core import (
     OperatorSpec,
     _block_gramians,
     _check_time,
-    gramian_profile,
     gramians,
     sym_sqrt,
 )
@@ -143,7 +142,7 @@ class QuadratureSpec:
     ``time_nodes // 2`` Gauss-Legendre nodes each, so a call evaluates
     the semigroup at ``2 * (time_nodes // 2) + 1`` times, one of them at
     the time cap (``time_nodes // 2 + 1`` when z^2 lies past the cap),
-    all from one Gramian profile.
+    all from one engine pass.
     """
 
     time_nodes: int = 200
@@ -437,7 +436,7 @@ def semigroup_gradient(spec: OperatorSpec, f: TestFunction, t, X) -> np.ndarray:
 
 
 def _poisson_profile(spec, f, ts, X, quad):
-    """P_t f(X) at every time of ``ts`` from one Gramian profile.
+    """P_t f(X) at every time of ``ts`` from one engine pass.
 
     Closed form for the family.  A compact profile takes one Monte Carlo
     mean per time on the shared draw set, all times in one blocked pass
@@ -447,8 +446,8 @@ def _poisson_profile(spec, f, ts, X, quad):
     if isinstance(f, TestFunction):
         return exact_semigroup_profile(spec, f, ts, X)
     X = _check_input(spec, f, X, (CompactBump, ModulatedBump))
-    prof = gramian_profile(spec, ts)
-    means = _mc_means(f, prof.exp_tB @ X, sym_sqrt(2.0 * prof.tK_t), quad)
+    exp_tB, _, _, tK, _, _ = _block_gramians(spec, ts)
+    means = _mc_means(f, exp_tB @ X, sym_sqrt(2.0 * tK), quad)
     return np.mean(means, axis=1)
 
 
@@ -472,7 +471,7 @@ def apply_poisson(
     ``quad.time_nodes // 2`` nodes, so a call evaluates P_t f at
     ``2 * (time_nodes // 2) + 1`` times, one of them at the cap
     (``time_nodes // 2 + 1`` when z^2 lies past the cap and the second
-    side is empty).  The times form one grid with one Gramian profile.
+    side is empty).  The times form one grid with one engine pass.
     """
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
@@ -503,7 +502,7 @@ def apply_poisson(
     s_nodes = s_max * 0.5 * (nodes[:tail_n] + 1.0)
     s_weights = s_max * 0.5 * weights[:tail_n]
 
-    # the whole time grid (cap, head, tail) in one profile
+    # the whole time grid (cap, head, tail) in one engine pass
     ts = np.concatenate(([t_cap], z**2 * w_nodes**2, z**2 * np.exp(2.0 * s_nodes)))
     vals = _poisson_profile(spec, f, ts, X, quad)
     p_cap, head_vals, tail_vals = float(vals[0]), vals[1 : half + 1], vals[half + 1 :]
@@ -550,10 +549,7 @@ def kernel_lr_norm(spec: OperatorSpec, Y, t, r) -> float:
     if Y.shape != (spec.dim,):
         raise ValueError("Y must be a point in R^%d" % spec.dim)
     # only log det C(t) is needed: no Gramian bundle is built or cached
-    _, _, C, _ = _block_gramians(spec, np.array([t]))
-    sign, logdet_C = np.linalg.slogdet(C[0])
-    if sign <= 0:
-        raise DomainError(f"C(t) is not positive definite in floating point at t={t}")
+    (logdet_C,) = _block_gramians(spec, np.array([t]))[5].tolist()
     n = spec.dim
     log_norm_C = -0.5 * n * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * logdet_C
     # log of the integral of the kernel's Gaussian factor to the power r

@@ -20,6 +20,7 @@ term decays (all shapes positive definite).
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -27,9 +28,8 @@ import numpy as np
 
 from .operator_core import (
     DomainError,
-    GramianProfile,
     OperatorSpec,
-    gramian_profile,
+    _block_gramians,
     gramians,
 )
 
@@ -483,7 +483,7 @@ def exact_semigroup_oracle(spec: OperatorSpec, f: TestFunction, t, X, gradient=F
 
 
 def exact_semigroup_profile(spec: OperatorSpec, f: TestFunction, ts, X):
-    """Exact P_t f (X) along a whole time grid with one block exponential.
+    """Exact P_t f (X) along a whole time grid with one engine pass.
 
     Same closed form as :func:`exact_semigroup_oracle`, vectorised over
     ``ts`` for the time-integral transforms that sample hundreds of
@@ -492,11 +492,14 @@ def exact_semigroup_profile(spec: OperatorSpec, f: TestFunction, ts, X):
     if f.dim != spec.dim:
         raise ValueError("dimension mismatch between spec and f")
     X = _as_vector(X, spec.dim)
-    prof: GramianProfile = gramian_profile(spec, ts)
-    # tK_t already carries the factor t; the covariance is 2 tK(t)
-    factors = _convolution_factors(f, 2.0 * prof.tK_t)
-    mu = prof.exp_tB @ X
-    return _convolve(factors, mu[:, None, :])[:, 0]
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    # min propagates a NaN, which fails the comparison
+    if not (ts.min(initial=math.inf) > 0.0 and ts.max(initial=0.0) < math.inf):
+        raise DomainError("times must be positive and finite")
+    exp_tB, _, _, tK, _, _ = _block_gramians(spec, ts)
+    # tK already carries the factor t; the covariance is 2 tK(t)
+    factors = _convolution_factors(f, 2.0 * tK)
+    return _convolve(factors, (exp_tB @ X)[:, None, :])[:, 0]
 
 
 @dataclass(frozen=True, eq=False)

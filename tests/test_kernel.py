@@ -350,6 +350,30 @@ class TestHeatKernel:
             assert batch[[0, 2]] == pytest.approx([m_t, m_t], rel=1e-15, abs=0.0)
             assert single == pytest.approx(m_t, rel=1e-15, abs=0.0)
 
+    @pytest.mark.parametrize("spec", [heat(2), kolmogorov(1)], ids=["heat2", "kolmogorov1"])
+    def test_tiny_separation_keeps_m_t(self, spec):
+        # <K^{-1} d, d> sinks into subnormals (or to 0) for |d| below about
+        # 1e-146, while m_t itself is a normal float; m_t is homogeneous
+        u = np.array([1.0, -1.0])
+        unit = pseudo_distance(spec, [0.0, 0.0], u, 1.0)
+        seps = 10.0 ** -np.arange(140.0, 201.0, 5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = pseudo_distance(spec, [0.0, 0.0], seps[:, None] * u, 1.0)
+            for s, m_t in zip(seps, batch):
+                assert m_t == pytest.approx(s * unit, rel=1e-14, abs=0.0)
+                assert heat_kernel(spec, [0.0, 0.0], s * u, 1.0).m_t == pytest.approx(
+                    s * unit, rel=1e-14, abs=0.0
+                )
+                assert pseudo_distance(spec, [0.0, 0.0], s * u, 1.0) == pytest.approx(
+                    s * unit, rel=1e-14, abs=0.0
+                )
+            # X == Y still reads 0, alone and inside a batch
+            assert heat_kernel(spec, [0.0, 0.0], [0.0, 0.0], 1.0).m_t == 0.0
+            assert pseudo_distance(spec, [0.0, 0.0], [0.0, 0.0], 1.0) == 0.0
+            both = pseudo_distance(spec, [0.0, 0.0], [[0.0, 0.0], seps[-1] * u], 1.0)
+            assert both[0] == 0.0 and both[1] == pytest.approx(seps[-1] * unit, rel=1e-14)
+
 
 class TestPseudoBall:
     def test_heat_is_euclidean_ball(self):

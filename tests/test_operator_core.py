@@ -14,12 +14,12 @@ from hypok.kernel import T_MIN
 from hypok.operator_core import (
     GRAMIAN_CACHE_SIZE,
     DomainError,
+    _block_gramians,
     _block_powers,
     _exp_grid,
     _gramian_bundle,
     KernelConstants,
     OperatorSpec,
-    gramian_profile,
     gramians,
     heat,
     hypoellipticity_check,
@@ -164,6 +164,12 @@ class TestGramians:
         with pytest.raises(DomainError):
             gramians(heat(1), -1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        # an infinite time once returned a bundle with a NaN logdet_tK
+        with pytest.raises(DomainError):
+            gramians(heat(2), t)
+
     def test_singular_gramian_rejected(self):
         # Q rank-deficient with B = 0 never spreads mass: K(t) stays singular.
         spec = OperatorSpec(np.diag([1.0, 0.0]), np.zeros((2, 2)))
@@ -218,28 +224,31 @@ class TestGramians:
     def test_profile_matches_pointwise(self, monkeypatch):
         grids = [(spec, np.array([0.05, 0.3, 2.0, 7.0])) for spec in PRESET_SPECS + [CHAIN3]]
         # and the whole time grid of one apply_poisson call, cap node included
-        profile = testfuncs.gramian_profile
+        engine = testfuncs._block_gramians
         monkeypatch.setattr(
-            testfuncs, "gramian_profile", lambda sp, ts: grids.append((sp, ts)) or profile(sp, ts)
+            testfuncs, "_block_gramians", lambda sp, ts: grids.append((sp, ts)) or engine(sp, ts)
         )
         for spec in (kolmogorov(1), ornstein_uhlenbeck(2)):
             f = testfuncs.gaussian(np.zeros(spec.dim), np.eye(spec.dim))
             apply_poisson(spec, f, 0.7, np.full(spec.dim, 0.3))
         assert [ts[0] for _, ts in grids[-2:]] == [1e10, 300.0]  # the time caps
         for spec, ts in grids:
-            prof = gramian_profile(spec, ts)
+            exp_tB, exp_minus_tB, C, tK, logdet_tK, logdet_C = _block_gramians(spec, ts)
             for i, t in enumerate(ts):
                 g = gramians(spec, t)
-                assert_allclose(prof.C_t[i], g.C_t, rtol=1e-12)
-                assert_allclose(prof.tK_t[i], t * g.K_t, rtol=1e-12)
-                assert_allclose(prof.logdet_tK[i], g.logdet_tK, rtol=1e-10, atol=1e-12)
+                assert_allclose(exp_tB[i], g.exp_tB, rtol=1e-12)
+                assert_allclose(exp_minus_tB[i], g.exp_minus_tB, rtol=1e-12)
+                assert_allclose(C[i], g.C_t, rtol=1e-12)
+                assert_allclose(tK[i], t * g.K_t, rtol=1e-12)
+                assert_allclose(logdet_tK[i], g.logdet_tK, rtol=1e-10, atol=1e-12)
+                assert_allclose(logdet_C[i], g.logdet_C, rtol=1e-10, atol=1e-12)
 
     def test_singular_c_is_a_domain_error(self):
         # e^{tB} has eigenvalues e^{1.12 t} and e^{-2.35 t}: C(t) loses
         # positive definiteness in floating point near t = 9
         spec = OperatorSpec(np.eye(2), [[0.745, -1.362], [-0.855, -1.976]])
         for t in (8.7, 10.0, 12.0):
-            for get in (lambda: gramians(spec, t).C_t, lambda: gramian_profile(spec, [t]).C_t[0]):
+            for get in (lambda: gramians(spec, t).C_t, lambda: _block_gramians(spec, np.array([t]))[2][0]):
                 try:
                     C = get()
                 except DomainError:
@@ -383,6 +392,11 @@ class TestLogdetDerivativeIdentity:
         with pytest.raises(DomainError):
             logdet_derivative_identity(heat(1), -0.5)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_time(self, t):
+        with pytest.raises(DomainError):
+            logdet_derivative_identity(heat(2), t)
+
 
 class TestSpecValueSemantics:
     def test_equal_specs_hash_alike(self):
@@ -501,7 +515,6 @@ def _array_records():
     bump = CompactBump(np.zeros(2), 1.0, 2.0)
     return {
         "GramianBundle": lambda: _gramian_bundle.__wrapped__(spec, 0.5),
-        "GramianProfile": lambda: gramian_profile(spec, [0.5, 1.0]),
         "KernelLogDerivatives": lambda: kernel_log_derivatives(
             spec, np.zeros(2), np.ones(2), 0.5
         ),

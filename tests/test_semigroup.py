@@ -12,11 +12,12 @@ from scipy import integrate, special, stats
 
 import hypok.semigroup as semigroup_module
 import hypok.testfuncs as testfuncs_module
+from hypok.kernel import heat_kernel
 from hypok.operator_core import (
     DomainError,
     KernelConstants,
+    _block_gramians,
     _gramian_bundle,
-    gramian_profile,
     gramians,
     heat,
     kolmogorov,
@@ -476,14 +477,14 @@ class TestMonteCarloFallback:
             t = min(t, 150.0)
         rng = np.random.default_rng(seed)
         n = spec.dim
-        prof = gramian_profile(spec, t * np.geomspace(1.0, 2.0, 6))
-        roots = sym_sqrt(2.0 * prof.tK_t)
+        exp_tB, _, _, tK, _, _ = _block_gramians(spec, t * np.geomspace(1.0, 2.0, 6))
+        roots = sym_sqrt(2.0 * tK)
         # s: the widest standard deviation of the first node's law.  The
         # reference forms the points mu + A w, which keep A w only to the
         # ulp of mu, so the start point is no larger than s
         s = float(np.max(np.abs(np.linalg.eigvalsh(roots[0]))))
         X = min(s, 1.0) * rng.uniform(-1.0, 1.0, size=n)
-        mus = prof.exp_tB @ X
+        mus = exp_tB @ X
         u = rng.normal(size=n)
         u /= np.linalg.norm(u)
         offset, r_in = {
@@ -637,20 +638,20 @@ class TestApplyPoisson:
 
     @pytest.mark.parametrize("nodes, times", [(80, 81), (81, 81), (200, 201)])
     def test_time_nodes_are_honoured(self, monkeypatch, nodes, times):
-        # each profile time is one Monte Carlo value on the shared draws
+        # each time of the engine pass is one Monte Carlo value on the shared draws
         sizes, means = [], []
-        profile, mc_means = semigroup_module.gramian_profile, semigroup_module._mc_means
+        engine, mc_means = semigroup_module._block_gramians, semigroup_module._mc_means
 
-        def counted_profile(spec, ts):
+        def counted_engine(spec, ts):
             sizes.append(np.size(ts))
-            return profile(spec, ts)
+            return engine(spec, ts)
 
         def counted_means(*args):
             out = mc_means(*args)
             means.append(out.shape)
             return out
 
-        monkeypatch.setattr(semigroup_module, "gramian_profile", counted_profile)
+        monkeypatch.setattr(semigroup_module, "_block_gramians", counted_engine)
         monkeypatch.setattr(semigroup_module, "_mc_means", counted_means)
         quad = QuadratureSpec(time_nodes=nodes, mc_samples=1024)
         bump = CompactBump(np.zeros(2), 0.3, 0.8)
@@ -717,16 +718,15 @@ class TestApplyPoisson:
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("kind", ["bump", "closed-form"])
-    def test_one_gramian_profile_per_call(self, monkeypatch, kind):
+    def test_one_engine_pass_per_call(self, monkeypatch, kind):
         calls = []
-        original = semigroup_module.gramian_profile
 
         def counted(spec, ts):
             calls.append(np.size(ts))
-            return original(spec, ts)
+            return _block_gramians(spec, ts)
 
-        monkeypatch.setattr(semigroup_module, "gramian_profile", counted)
-        monkeypatch.setattr(testfuncs_module, "gramian_profile", counted)
+        monkeypatch.setattr(semigroup_module, "_block_gramians", counted)
+        monkeypatch.setattr(testfuncs_module, "_block_gramians", counted)
         if kind == "bump":
             f = CompactBump(np.zeros(2), 0.3, 0.8)
         else:
@@ -742,6 +742,25 @@ class TestApplyPoisson:
             apply_poisson(heat(1), constant(1.0, 1), 0.0, np.zeros(1))
         with pytest.raises(DomainError):
             apply_poisson(heat(1), constant(1.0, 1), -2.0, np.zeros(1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("t", [400.0, 1e3, 1e8])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, t: apply_semigroup_report(s, CompactBump(np.zeros(2), 0.3, 0.8), t, np.zeros(2)),
+        lambda s, t: apply_semigroup_report(s, gaussian(np.zeros(2), np.eye(2)), t, np.zeros(2)),
+        lambda s, t: heat_kernel(s, np.zeros(2), np.ones(2), t),
+        lambda s, t: kernel_lr_norm(s, np.zeros(2), t, 2.0),
+    ],
+    ids=["bump", "gaussian", "heat_kernel", "kernel_lr_norm"],
+)
+def test_overflowing_gramians_raise(call, t):
+    # C(t) = (e^{2t} - 1) / 2 I overflows near t = 355 on this spec; past
+    # it the values once came back NaN or with a RuntimeWarning only
+    with pytest.raises(DomainError):
+        call(ornstein_uhlenbeck(2), t)
 
 
 class TestKernelLrNorm:

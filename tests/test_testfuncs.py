@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hypok.operator_core import gramians, heat, kolmogorov, ornstein_uhlenbeck
+from hypok.operator_core import DomainError, gramians, heat, kolmogorov, ornstein_uhlenbeck
 from hypok.testfuncs import (
     CompactBump,
     GaussianTerm,
@@ -255,6 +255,12 @@ class TestExactSemigroupOracle:
         prof = exact_semigroup_profile(spec, f, ts, X)
         point = [exact_semigroup_oracle(spec, f, t, X) for t in ts]
         assert_allclose(prof, point, rtol=1e-13)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_profile_rejects_bad_times(self, bad):
+        f = gaussian(np.zeros(2), np.eye(2))
+        with pytest.raises(DomainError):
+            exact_semigroup_profile(heat(2), f, np.array([0.5, bad, 1.0]), np.zeros(2))
 
     def test_generator_is_time_derivative_at_zero(self):
         # Richardson-extrapolated (P_h f - f)/h at h -> 0 equals A f

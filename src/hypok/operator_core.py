@@ -10,23 +10,37 @@ norms and smoothing bounds) is a function of two Gramians of the pair
     C(t) =       int_0^t e^{-sB} Q e^{-sB'} ds
 
 linked by ``t K(t) = e^{tB} C(t) e^{tB'}`` and
-``det(t K(t)) = e^{2 t tr B} det C(t)``. Both are read off the block
-exponential ``e^{tH}``, ``H = [[B, Q], [0, -B']]`` (no numerical time
-quadrature).
+``det(t K(t)) = e^{2 t tr B} det C(t)``. No numerical time quadrature is
+used.
 
-One engine computes every exponential: scaling and squaring around the
-degree-13 Pade approximant. The powers ``M^0 .. M^13`` and three norms of
-``M`` are computed once; since ``(tM)^k = t^k M^k``, they give the scaling
-``s(t)`` of any time in closed form (Al-Mohy and Higham 2009) and the Pade
-numerators and denominators of a whole time grid in one matrix product.
-One batched solve follows, and each time is then squared ``s(t)`` times.
-The powers of ``H`` are kept per spec, so a grid of times costs one pass.
 Every Gramian comes from one checked engine, ``_block_gramians``, which
-raises ``DomainError`` at a time where ``e^{tB}`` is singular, or where
-``t K(t)`` or ``C(t)`` is not positive definite with a finite
-log-determinant (overflow and NaN included). ``OperatorSpec`` compares
-and hashes by the content of ``(Q, B)``, which lets :func:`gramians`
-memoise one bundle per ``(spec, t)``.
+takes a whole grid of times in one pass by one of two routes. The drift
+alone selects the route; no option does:
+
+* **Polynomial**, when ``B`` is nilpotent in floating point: some power
+  ``B^d``, ``d <= N``, formed by repeated products, is exactly zero. This
+  holds for the homogeneous Kolmogorov class (Lanconelli and Polidoro
+  1994): the heat operator, the kinetic operators and every chain. Then
+  ``e^{+-tB}`` and the Gramians are matrix polynomials in ``t`` of degree
+  at most ``2d - 1``. Their coefficients are built once per spec, the
+  Gramians as ``t F(t) F(t)'`` from a shifted Legendre factor (see
+  ``_polynomial_gramians``), and a grid is one Vandermonde product.
+* **Pade**, for every other drift: the Gramians are read off the block
+  exponential ``e^{tH}``, ``H = [[B, Q], [0, -B']]``. Its exponential
+  uses scaling and squaring around the degree-13 Pade approximant. The
+  powers ``M^0 .. M^13`` and three norms of ``M`` are computed once;
+  since ``(tM)^k = t^k M^k``, they give the scaling ``s(t)`` of any time
+  in closed form (Al-Mohy and Higham 2009) and the Pade numerators and
+  denominators of a whole time grid in one matrix product. One batched
+  solve follows, and each time is then squared ``s(t)`` times. The powers
+  of ``H`` are kept per spec. :func:`matrix_exponential` is this
+  exponential for any matrix.
+
+Both routes end in the same check: ``DomainError`` at a time where
+``e^{tB}`` is singular, or where ``t K(t)`` or ``C(t)`` is not positive
+definite with a finite log-determinant (overflow and NaN included).
+``OperatorSpec`` compares and hashes by the content of ``(Q, B)``, which
+lets :func:`gramians` memoise one bundle per ``(spec, t)``.
 """
 
 from __future__ import annotations
@@ -44,8 +58,8 @@ import numpy as np
 TOL_SYM_REL = 1e-12
 TOL_PD_REL = 1e-10
 
-# Gramian bundles kept by gramians(), and specs whose block powers are kept;
-# one entry is a few kB at N <= 4.
+# Gramian bundles kept by gramians(), and specs whose block powers or
+# polynomial coefficients are kept; one entry is a few kB at N <= 4.
 GRAMIAN_CACHE_SIZE = 256
 
 # Degree-13 Pade coefficients b_k (Higham 2005) over b_0: with b_0 as the
@@ -61,6 +75,8 @@ _LOG2_THETA13 = math.log2(5.371920351148152)
 _TINY = np.finfo(float).tiny
 # log2 of 1/|c_27|, the leading backward-error coefficient (Al-Mohy and Higham 2009)
 _LOG2_C27 = math.log2(113250775606021113483283660800000000)
+# the polynomial route evaluates every grid at +t and at -t
+_SIGNS = np.array([1.0, -1.0])
 
 
 class DomainError(ValueError):
@@ -270,8 +286,12 @@ def matrix_exponential(M, t=1.0) -> np.ndarray:
 class GramianBundle:
     """All Gramian-derived quantities of one spec at one time.
 
-    Besides the matrices and log-determinants it holds three scalars the
-    kernel needs at every point, computed once per ``(spec, t)``:
+    ``det_tK = exp(logdet_tK)`` overflows to ``inf``, without a warning,
+    once ``logdet_tK`` passes about 709.78 (``OperatorSpec(I, I)`` at
+    t = 200 in N = 2, say); ``logdet_tK`` stays finite and is what the
+    kernel reads. Besides the matrices and log-determinants the bundle
+    holds three scalars the kernel needs at every point, computed once
+    per ``(spec, t)``:
 
     * ``trace_Q_inv_C = tr(Q C(t)^{-1})``;
     * ``log_norm_m = log c_N - (log omega_N + log det(t K(t)) / 2)``, the
@@ -302,26 +322,87 @@ def _block_powers(spec: OperatorSpec) -> _ExpPowers:
     return _exp_powers(np.block([[spec.B, spec.Q], [zero, -spec.B.T]]))
 
 
+@functools.lru_cache(maxsize=GRAMIAN_CACHE_SIZE)
+def _polynomial_gramians(spec: OperatorSpec) -> np.ndarray | None:
+    """Coefficients, in powers of t, of e^{tB} and of Gramian factors; or None.
+
+    None unless some power B^d, d <= N, formed by repeated products, is
+    exactly zero. Then e^{sB} Q^{1/2} = sum_{p<d} s^p G_p with
+    G_p = B^p Q^{1/2} / p!, and expanding x^p = sum_r L[p, r] P_r(x) in the
+    orthonormal shifted Legendre polynomials of [0, 1] (L is the Cholesky
+    factor of the Hilbert matrix 1 / (p + q + 1), in closed form
+    L[p, r] = sqrt(2r + 1) p!^2 / ((p - r)! (p + r + 1)!), every entry
+    positive) gives
+
+        t K(t) = int_0^t e^{sB} Q e^{sB'} ds = t F(t) F(t)',
+        F(t) = [F_0 .. F_{d-1}],  F_r(t) = sum_p t^p L[p, r] G_p,
+
+    a Gram form whose diagonal is a sum of squares: rounding in F costs
+    about the square root of what the expanded sums of B^i Q B'^j lose
+    to cancellation between powers of t. C(t) is the same with t^p
+    replaced by (-t)^p. Row p of the read-only
+    (d, N^2 + d N^2) result holds B^p / p!, then the N x dN coefficient
+    [L[p, 0] G_p .. L[p, d-1] G_p] of F.
+    """
+    n = spec.dim
+    powers = [np.eye(n)]
+    for _ in range(n):
+        powers.append(powers[-1] @ spec.B)
+        if not powers[-1].any():
+            break
+    else:
+        return None
+    d = len(powers) - 1
+    fact = [math.factorial(k) for k in range(2 * d)]
+    L = np.array([[math.sqrt(2 * r + 1) * fact[p] ** 2 / (fact[p - r] * fact[p + r + 1])
+                   if r <= p else 0.0 for r in range(d)] for p in range(d)])
+    exps = np.stack(powers[:d]) / np.array(fact[:d])[:, None, None]
+    G = exps @ spec.sqrt_Q()
+    factor = L[:, None, :, None] * G[:, :, None, :]  # (p, row, r, column)
+    coef = np.concatenate((exps.reshape(d, -1), factor.reshape(d, -1)), axis=1)
+    coef.setflags(write=False)
+    return coef
+
+
 def _block_gramians(spec: OperatorSpec, ts: np.ndarray):
     """(exp_tB, exp_minus_tB, C_t, tK_t, logdet_tK, logdet_C), stacked over
     the 1-D array ``ts`` of positive finite times, from one pass.
 
-    With H = [[B, Q], [0, -B']], exp(tH) has blocks E11 = e^{tB},
-    E12 = e^{tB} C(t) and E22 = e^{-tB'}; then C(t) = E11^{-1} E12,
-    t K(t) = E12 E11' and e^{-tB} = E22'.
+    Two routes, chosen by the drift alone (no option selects them):
+
+    * polynomial, when ``_polynomial_gramians`` finds B nilpotent in
+      floating point (B^d, formed by repeated products, exactly zero for
+      some d <= N): e^{tB}, e^{-tB} and the Gramian factors F of
+      t K(t) = t F F' and C(t) are polynomials in t of degree below d,
+      so the whole grid is one Vandermonde product of the powers of
+      +-t with the cached coefficients, and one batched ``F F'``;
+    * Pade, for every other drift: with H = [[B, Q], [0, -B']], exp(tH)
+      has blocks E11 = e^{tB}, E12 = e^{tB} C(t) and E22 = e^{-tB'};
+      then C(t) = E11^{-1} E12, t K(t) = E12 E11' and e^{-tB} = E22'.
+
+    Both routes end in the same check and ``DomainError``.
     """
     n = spec.dim
+    coef = _polynomial_gramians(spec)
     # an overflow or a NaN reaches the check below instead of warning
     with np.errstate(over="ignore", invalid="ignore"):
-        E = _exp_grid(_block_powers(spec), ts)
-        E11, E12, E22T = E[:, :n, :n], E[:, :n, n:], E[:, n:, n:].transpose(0, 2, 1)
-        try:
-            C = np.linalg.solve(E11, E12)
-        except np.linalg.LinAlgError:
-            raise DomainError("e^{tB} is singular in floating point on the time grid") from None
-        C = 0.5 * (C + C.transpose(0, 2, 1))  # about 1 us less than np.swapaxes
-        tK = E12 @ E11.transpose(0, 2, 1)
-        tK = 0.5 * (tK + tK.transpose(0, 2, 1))
+        if coef is not None:
+            # the powers of t give e^{tB} and the factor F of t K(t), those
+            # of -t give e^{-tB} and the factor of C(t)
+            P = ((ts[:, None] * _SIGNS)[..., None] ** np.arange(len(coef))) @ coef
+            E11, E22T = P[..., : n * n].reshape(-1, 2, n, n).transpose(1, 0, 2, 3)
+            F = P[..., n * n :].reshape(len(ts), 2, n, -1)
+            tK, C = (ts[:, None, None, None] * (F @ F.transpose(0, 1, 3, 2))).transpose(1, 0, 2, 3)
+        else:
+            E = _exp_grid(_block_powers(spec), ts)
+            E11, E12, E22T = E[:, :n, :n], E[:, :n, n:], E[:, n:, n:].transpose(0, 2, 1)
+            try:
+                C = np.linalg.solve(E11, E12)
+            except np.linalg.LinAlgError:
+                raise DomainError("e^{tB} is singular in floating point on the time grid") from None
+            C = 0.5 * (C + C.transpose(0, 2, 1))  # about 1 us less than np.swapaxes
+            tK = E12 @ E11.transpose(0, 2, 1)
+            tK = 0.5 * (tK + tK.transpose(0, 2, 1))
         # each LAPACK routine runs once over both Gramians (per matrix, the
         # result of a separate call)
         signs, logdets = np.linalg.slogdet(np.concatenate((tK, C)))
@@ -362,9 +443,11 @@ def _gramian_bundle(spec: OperatorSpec, t: float) -> GramianBundle:
     n = spec.dim
     const = KernelConstants.for_dim(n)
     (logdet_tK,), (logdet_C,) = logdet_tK.tolist(), logdet_C.tolist()
+    with np.errstate(over="ignore"):  # det_tK may overflow to inf; logdet_tK is finite
+        det_tK = float(np.exp(logdet_tK))
     return GramianBundle(
         t=t,
-        det_tK=float(np.exp(logdet_tK)),
+        det_tK=det_tK,
         logdet_tK=logdet_tK,
         logdet_C=logdet_C,
         trace_Q_inv_C=float((spec.Q @ inv_C_t).trace()),
@@ -399,8 +482,8 @@ def hypoellipticity_check(spec: OperatorSpec) -> HypoellipticityReport:
     tK = E[:, :n, n:] @ np.swapaxes(E[:, :n, :n], -1, -2)
     K1 = 0.5 * (tK + np.swapaxes(tK, -1, -2))[0]
     lam_min = float(np.linalg.eigvalsh(K1)[0])
-    tol_pd = TOL_PD_REL * max(np.linalg.norm(K1, 2), 1e-300)
-    spectral = lam_min > tol_pd
+    tol_pd = TOL_PD_REL * max(float(np.linalg.norm(K1, 2)), 1e-300)
+    spectral = lam_min > tol_pd  # floats on both sides: a Python bool
 
     Qh = spec.sqrt_Q()
     blocks = [Qh]

@@ -305,6 +305,8 @@ def _check_input(spec, f, X, kinds):
     X = np.asarray(X, dtype=float)
     if X.shape != (spec.dim,):
         raise ValueError("X must be a point in R^%d" % spec.dim)
+    if not all(map(math.isfinite, X.tolist())):
+        raise DomainError("X has non-finite coordinates")
     return X
 
 
@@ -445,7 +447,6 @@ def _poisson_profile(spec, f, ts, X, quad):
     """
     if isinstance(f, TestFunction):
         return exact_semigroup_profile(spec, f, ts, X)
-    X = _check_input(spec, f, X, (CompactBump, ModulatedBump))
     exp_tB, _, _, tK, _, _ = _block_gramians(spec, ts)
     means = _mc_means(f, exp_tB @ X, sym_sqrt(2.0 * tK), quad)
     return np.mean(means, axis=1)
@@ -476,7 +477,7 @@ def apply_poisson(
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError("z must be positive and finite")
-    X = np.asarray(X, dtype=float)
+    X = _check_input(spec, f, X, (TestFunction, CompactBump, ModulatedBump))
     half = quad.time_nodes // 2
     nodes, weights = _rule(np.polynomial.legendre.leggauss, half)
     sqrt_pi = math.sqrt(math.pi)

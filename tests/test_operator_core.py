@@ -1,12 +1,15 @@
 """Gramian, exponential and hypoellipticity checks for the operator layer."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
+from scipy import integrate
 from scipy.linalg import expm as scipy_expm
 
 from hypok import testfuncs
@@ -18,6 +21,7 @@ from hypok.operator_core import (
     _block_powers,
     _exp_grid,
     _gramian_bundle,
+    _polynomial_gramians,
     KernelConstants,
     OperatorSpec,
     gramians,
@@ -29,7 +33,9 @@ from hypok.operator_core import (
     ornstein_uhlenbeck,
     sym_sqrt,
 )
-from hypok.semigroup import apply_poisson
+from hypok import operator_core
+from hypok.kernel import heat_kernel
+from hypok.semigroup import apply_poisson, kernel_lr_norm, ultracontractivity_check
 
 # the step-3 chain: diffusion in the first coordinate, transported down a chain
 CHAIN3 = OperatorSpec(np.diag([1.0, 0.0, 0.0]), np.eye(3, k=-1))
@@ -169,6 +175,15 @@ class TestGramians:
         # an infinite time once returned a bundle with a NaN logdet_tK
         with pytest.raises(DomainError):
             gramians(heat(2), t)
+
+    def test_det_tK_overflows_to_inf_quietly(self):
+        # logdet_tK = 798.6 at t = 200: exp overflows, and used to warn
+        _gramian_bundle.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g = gramians(OperatorSpec(np.eye(2), np.eye(2)), 200.0)
+        assert g.det_tK == math.inf
+        assert g.logdet_tK == pytest.approx(2 * (400.0 - math.log(2.0)), rel=1e-12)
 
     def test_singular_gramian_rejected(self):
         # Q rank-deficient with B = 0 never spreads mass: K(t) stays singular.
@@ -310,6 +325,208 @@ def _drawn_pair(seed):
     return OperatorSpec(np.eye(n), B)
 
 
+def chain(n):
+    """The step-n chain: diffusion in the first coordinate, transported down."""
+    return OperatorSpec(np.diag([1.0] + [0.0] * (n - 1)), np.eye(n, k=-1), name="chain")
+
+
+def nilpotent_pair(seed):
+    """Strictly lower-triangular B, N = 1..5; an odd seed takes a full-rank Q,
+    an even one the chain-type Q = c e1 e1'."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    B = np.tril(rng.normal(size=(n, n)), -1)
+    if seed % 2:
+        A = rng.normal(size=(n, n))
+        Q = A @ A.T + 0.1 * np.eye(n)
+    else:
+        Q = np.zeros((n, n))
+        Q[0, 0] = rng.uniform(0.5, 2.0)
+    return OperatorSpec(Q, B)
+
+
+def _fractions(M):
+    return [[Fraction(float(x)) for x in row] for row in np.asarray(M)]
+
+
+def _fmul(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*B)] for row in A]
+
+
+def _fsum(terms, n):
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c, M in terms:
+        for i in range(n):
+            for j in range(n):
+                out[i][j] += c * M[i][j]
+    return out
+
+
+class ExactNilpotentGramians:
+    """e^{tB}, e^{-tB}, C(t), t K(t) and e^{t|B|} of a nilpotent pair in exact
+    rational arithmetic: the finite sums over i, j < N of
+    B^i Q B'^j t^{i+j+1} / (i! j! (i+j+1)), with the sign (-1)^{i+j} for C."""
+
+    def __init__(self, spec):
+        n = self.n = spec.dim
+        B, Q = _fractions(spec.B), _fractions(spec.Q)
+        absB = [[abs(x) for x in row] for row in B]
+        eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        self.powers, self.abs_powers = [eye], [eye]
+        for _ in range(n - 1):
+            self.powers.append(_fmul(self.powers[-1], B))
+            self.abs_powers.append(_fmul(self.abs_powers[-1], absB))
+        # A_m = sum_{i+j=m} B^i Q B'^j / (i! j!)
+        self.A = [[[Fraction(0)] * n for _ in range(n)] for _ in range(2 * n - 1)]
+        for i in range(n):
+            left = _fmul(self.powers[i], Q)
+            for j in range(n):
+                M = _fmul(left, [list(col) for col in zip(*self.powers[j])])
+                w = Fraction(1, math.factorial(i) * math.factorial(j))
+                for a in range(n):
+                    for b in range(n):
+                        self.A[i + j][a][b] += w * M[a][b]
+
+    def at(self, t):
+        n, t = self.n, Fraction(float(t))
+        f = [math.factorial(k) for k in range(n)]
+        return (_fsum([(t**k / f[k], P) for k, P in enumerate(self.powers)], n),
+                _fsum([((-t) ** k / f[k], P) for k, P in enumerate(self.powers)], n),
+                _fsum([((-1) ** m * t ** (m + 1) / (m + 1), A) for m, A in enumerate(self.A)], n),
+                _fsum([(t ** (m + 1) / (m + 1), A) for m, A in enumerate(self.A)], n),
+                _fsum([(t**k / f[k], P) for k, P in enumerate(self.abs_powers)], n))
+
+
+def _scaled_errors(got, exact, scale):
+    """max |got - exact| / scale over the entries with a positive scale."""
+    n = len(exact)
+    return max([float(abs(Fraction(float(got[i, j])) - exact[i][j]) / scale(i, j))
+                for i in range(n) for j in range(n) if scale(i, j) > 0] or [0.0])
+
+
+def _gramian_scale(G):
+    return lambda i, j: (G[i][i] * G[j][j]) ** 0.5
+
+
+def _scaled_condition(G):
+    """Condition number of the exact Gramian G after unit-diagonal scaling."""
+    G = np.array([[float(x) for x in row] for row in G])
+    d = np.sqrt(np.diag(G))
+    w = np.linalg.eigvalsh(G / np.outer(d, d))
+    return w[-1] / max(w[0], 1e-300)
+
+
+def _assert_matches_exact(spec, ts):
+    """Each engine pass meets 1e-14 of the exact sums (entries of e^{+-tB}
+    against e^{t|B|}, Gramian entries against sqrt(G_ii G_jj)), or raises
+    DomainError where an exact Gramian is singular to working precision.
+    Returns the number of rejected times."""
+    exact = ExactNilpotentGramians(spec)
+    rejected = 0
+    for t in ts:
+        ep, em, C, tK, ea = exact.at(t)
+        try:
+            got = [a[0] for a in _block_gramians(spec, np.array([t]))[:4]]
+        except DomainError:
+            rejected += 1
+            assert max(_scaled_condition(C), _scaled_condition(tK)) > 1e14, t
+            continue
+        errors = [_scaled_errors(got[0], ep, lambda i, j: float(ea[i][j])),
+                  _scaled_errors(got[1], em, lambda i, j: float(ea[i][j])),
+                  _scaled_errors(got[2], C, _gramian_scale(C)),
+                  _scaled_errors(got[3], tK, _gramian_scale(tK))]
+        assert max(errors) <= 1e-14, (t, errors)
+    return rejected
+
+
+NILPOTENT_SEEDS = list(range(15000, 15024))
+
+
+class TestPolynomialRoute:
+    @pytest.mark.parametrize("spec", [heat(1), heat(3), kolmogorov(1), kolmogorov(2)]
+                             + [chain(n) for n in (3, 4, 5, 6)], ids=lambda s: f"{s.name}{s.dim}")
+    def test_presets_and_chains_match_exact_sums(self, spec):
+        ts = np.append(np.geomspace(T_MIN, 1e3, 13), 1e10)
+        assert _assert_matches_exact(spec, ts) == 0
+
+    @pytest.mark.parametrize("seed", NILPOTENT_SEEDS)
+    def test_random_pairs_match_exact_sums(self, seed):
+        spec = nilpotent_pair(seed)
+        rejected = _assert_matches_exact(spec, np.geomspace(T_MIN, 1e3, 13))
+        if seed % 2:  # a full-rank Q keeps both Gramians well scaled
+            assert rejected == 0
+
+    @pytest.mark.parametrize("spec", [heat(1), heat(2), kolmogorov(1), kolmogorov(2), CHAIN3]
+                             + [nilpotent_pair(seed) for seed in NILPOTENT_SEEDS[:8]])
+    def test_nilpotent_drifts_take_the_polynomial_route(self, spec):
+        coef = _polynomial_gramians(spec)
+        assert coef is not None and not coef.flags.writeable
+
+    def test_other_drifts_take_the_pade_route(self):
+        rng = np.random.default_rng(15)
+        S = rng.normal(size=(3, 3))
+        jordan = S @ np.eye(3, k=-1) @ np.linalg.inv(S)
+        # nilpotent in exact arithmetic, but its powers do not vanish in floats
+        assert np.linalg.matrix_power(jordan, 3).any()
+        for spec in (ornstein_uhlenbeck(2), OperatorSpec(np.eye(3), rng.normal(size=(3, 3))),
+                     OperatorSpec(np.eye(3), jordan)):
+            assert _polynomial_gramians(spec) is None
+
+    def test_nilpotent_specs_never_call_the_pade_engine(self, monkeypatch):
+        calls = []
+        engine = operator_core._exp_grid
+        monkeypatch.setattr(operator_core, "_exp_grid",
+                            lambda P, ts: calls.append(len(ts)) or engine(P, ts))
+        for spec in (heat(2), kolmogorov(1), CHAIN3):
+            X = np.full(spec.dim, 0.3)
+            f = testfuncs.gaussian(np.zeros(spec.dim), np.eye(spec.dim))
+            gramians(spec, 0.123456789)
+            heat_kernel(spec, X, -X, 0.987654321)
+            kernel_lr_norm(spec, X, 0.55, 2.0)
+            apply_poisson(spec, f, 0.7, X)
+            apply_poisson(spec, testfuncs.CompactBump(np.zeros(spec.dim), 0.5, 1.5), 0.7, X)
+            testfuncs.exact_semigroup_profile(spec, f, [0.1, 1.0, 10.0], X)
+            ultracontractivity_check(spec, f, 1.0, 2.0, 0.77)
+            logdet_derivative_identity(spec, 0.66)
+        assert calls == []
+        # the counter does see the Pade route
+        gramians(ornstein_uhlenbeck(2), 0.123456789)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_poisson_on_long_chains(self, n):
+        # the Pade route raised DomainError at the 1e10 time cap of these chains
+        spec = chain(n)
+        c, X, z = np.linspace(-0.5, 0.5, n), np.linspace(0.3, -0.2, n), 0.8
+        S = np.diag(np.linspace(0.5, 1.5, n))
+        f = testfuncs.gaussian(c, S)
+        got = apply_poisson(spec, f, z, X)
+
+        i = np.arange(n)
+        fact = np.array([math.factorial(k) for k in range(n)], dtype=float)
+
+        def profile(t):
+            # P_t f(X) for f = exp(-<S (Y - c), Y - c>) and Y ~ N(e^{tB} X, 2 tK(t)),
+            # with the chain's closed forms e^{tB}_ij = t^{i-j} / (i-j)! and
+            # tK_ij = t^{i+j+1} / (i! j! (i+j+1))
+            lag = np.subtract.outer(i, i)
+            E = np.where(lag >= 0, t ** np.maximum(lag, 0) / fact[np.maximum(lag, 0)], 0.0)
+            tK = t ** (i[:, None] + i + 1) / (np.outer(fact, fact) * (i[:, None] + i + 1))
+            d = E @ X - c
+            M = np.eye(n) + 4.0 * tK @ S
+            return np.linalg.det(M) ** -0.5 * math.exp(-d @ S @ np.linalg.solve(M, d))
+
+        def integrand(u):
+            # the subordination integral over t = e^u
+            t = math.exp(u)
+            return z * t**-0.5 * math.exp(-(z**2) / (4 * t)) * profile(t) / math.sqrt(4 * math.pi)
+
+        want, err = integrate.quad(integrand, math.log(1e-6), math.log(1e6), limit=400,
+                                   epsabs=0.0, epsrel=1e-12)
+        assert err < 1e-12 * want
+        assert got == pytest.approx(want, rel=1e-9)
+
+
 class TestGramianProperties:
     @settings(max_examples=20, deadline=None)
     @given(hypoelliptic_pairs())
@@ -371,6 +588,16 @@ class TestHypoellipticity:
         for spec in specs:
             rep = hypoellipticity_check(spec)
             assert rep.agree, f"tests disagree on {spec.name}: {rep}"
+
+
+    @pytest.mark.parametrize("spec", [kolmogorov(1), OperatorSpec(np.diag([1.0, 0.0]), np.zeros((2, 2)))],
+                             ids=["hypoelliptic", "degenerate"])
+    def test_verdicts_are_python_bools(self, spec):
+        # a NumPy bool in hypoelliptic made bool(report) raise TypeError
+        rep = hypoellipticity_check(spec)
+        assert bool(rep) is rep.hypoelliptic
+        for name in ("hypoelliptic", "spectral_test", "kalman_test", "agree"):
+            assert type(getattr(rep, name)) is bool, name
 
 
 class TestLogdetDerivativeIdentity:

@@ -230,6 +230,14 @@ class TestApplySemigroup:
             want = gh_semigroup(spec, f, 2.0, X, order=200)
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
+    @pytest.mark.parametrize("f", [gaussian(np.zeros(2), np.eye(2)), CompactBump(np.zeros(2), 0.5, 1.0)],
+                             ids=["closed-form", "monte-carlo"])
+    @pytest.mark.parametrize("X", [[math.nan, 0.0], [0.0, -math.inf]], ids=["nan", "inf"])
+    def test_rejects_non_finite_point(self, f, X):
+        # both routes returned a silent NaN
+        with pytest.raises(DomainError):
+            apply_semigroup_report(heat(2), f, 1.0, X)
+
     def test_constant_preserved(self):
         for spec in PRESETS():
             X = np.linspace(-1.0, 1.0, spec.dim)
@@ -541,6 +549,12 @@ class TestSemigroupGradient:
             with pytest.raises(ValueError):
                 semigroup_gradient(heat(2), f, 0.5, X)
 
+    @pytest.mark.parametrize("X", [[math.nan, 0.0], [0.0, -math.inf]], ids=["nan", "inf"])
+    def test_rejects_non_finite_point(self, X):
+        # it warned of an invalid matmul and returned NaN
+        with pytest.raises(DomainError):
+            semigroup_gradient(heat(2), gaussian(np.zeros(2), np.eye(2)), 0.5, X)
+
     def test_linear_profile_exact(self):
         for spec in PRESETS():
             a = np.arange(1.0, spec.dim + 1.0)
@@ -585,6 +599,14 @@ class TestSemigroupGradient:
 
 
 class TestApplyPoisson:
+    @pytest.mark.parametrize("f", [gaussian(np.zeros(2), np.eye(2)), CompactBump(np.zeros(2), 0.5, 1.0)],
+                             ids=["closed-form", "monte-carlo"])
+    @pytest.mark.parametrize("X", [[math.nan, 0.0], [0.0, -math.inf]], ids=["nan", "inf"])
+    def test_rejects_non_finite_point(self, f, X):
+        # both routes returned NaN
+        with pytest.raises(DomainError):
+            apply_poisson(kolmogorov(1), f, 0.7, X)
+
     def test_preserves_constant(self):
         for spec in PRESETS():
             one = constant(1.0, spec.dim)

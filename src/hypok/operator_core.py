@@ -282,37 +282,67 @@ def matrix_exponential(M, t=1.0) -> np.ndarray:
     return E.reshape(lead + (n, n))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class GramianBundle:
     """All Gramian-derived quantities of one spec at one time.
 
-    ``det_tK = exp(logdet_tK)`` overflows to ``inf``, without a warning,
-    once ``logdet_tK`` passes about 709.78 (``OperatorSpec(I, I)`` at
-    t = 200 in N = 2, say); ``logdet_tK`` stays finite and is what the
-    kernel reads. Besides the matrices and log-determinants the bundle
-    holds three scalars the kernel needs at every point, computed once
-    per ``(spec, t)``:
+    ``exp_tB``, ``exp_minus_tB``, ``K_t``, ``C_t``, ``logdet_tK`` and
+    ``logdet_C`` come from the engine with the bundle; every other field
+    is computed on first read and kept, so a caller pays only for what it
+    reads. Every array is read-only. The other fields are ``inv_K_t``,
+    ``inv_C_t`` and
 
     * ``trace_Q_inv_C = tr(Q C(t)^{-1})``;
     * ``log_norm_m = log c_N - (log omega_N + log det(t K(t)) / 2)``, the
       log prefactor ``log(c_N / V(t))`` of the pseudo-distance form;
     * ``log_norm_C = -N log(4 pi) / 2 - t tr B - log det C(t) / 2``, the log
-      prefactor of the drift-free-variable form.
+      prefactor of the drift-free-variable form;
+    * ``det_tK = exp(logdet_tK)``, which overflows to ``inf``, without a
+      warning, once ``logdet_tK`` passes about 709.78 (``OperatorSpec(I, I)``
+      at t = 200 in N = 2, say); ``logdet_tK`` stays finite and is what the
+      kernel reads.
     """
 
+    spec: OperatorSpec = field(repr=False)
     t: float
     exp_tB: np.ndarray
     exp_minus_tB: np.ndarray
     K_t: np.ndarray
     C_t: np.ndarray
-    det_tK: float
     logdet_tK: float
     logdet_C: float
-    inv_K_t: np.ndarray
-    inv_C_t: np.ndarray
-    trace_Q_inv_C: float
-    log_norm_m: float
-    log_norm_C: float
+
+    @functools.cached_property
+    def inv_K_t(self) -> np.ndarray:
+        return _read_only(np.linalg.inv(self.K_t))
+
+    @functools.cached_property
+    def inv_C_t(self) -> np.ndarray:
+        return _read_only(np.linalg.inv(self.C_t))
+
+    @functools.cached_property
+    def trace_Q_inv_C(self) -> float:
+        return float((self.spec.Q @ self.inv_C_t).trace())
+
+    @functools.cached_property
+    def log_norm_m(self) -> float:
+        const = KernelConstants.for_dim(self.spec.dim)
+        return math.log(const.c_N) - (math.log(const.omega_N) + 0.5 * self.logdet_tK)
+
+    @functools.cached_property
+    def log_norm_C(self) -> float:
+        n, t, trace_B = self.spec.dim, self.t, self.spec.trace_B
+        return -0.5 * n * math.log(4.0 * math.pi) - t * trace_B - 0.5 * self.logdet_C
+
+    @functools.cached_property
+    def det_tK(self) -> float:
+        with np.errstate(over="ignore"):  # may overflow to inf; logdet_tK is finite
+            return float(np.exp(self.logdet_tK))
 
 
 @functools.lru_cache(maxsize=GRAMIAN_CACHE_SIZE)
@@ -428,33 +458,9 @@ def gramians(spec: OperatorSpec, t: float) -> GramianBundle:
 @functools.lru_cache(maxsize=GRAMIAN_CACHE_SIZE)
 def _gramian_bundle(spec: OperatorSpec, t: float) -> GramianBundle:
     E11, E22T, C, tK, logdet_tK, logdet_C = _block_gramians(spec, np.array([t]))
-    K = tK / t
-    inv_K_t, inv_C_t = np.linalg.inv(np.concatenate((K, C)))
-    arrays = dict(
-        exp_tB=E11[0],
-        exp_minus_tB=E22T[0],
-        K_t=K[0],
-        C_t=C[0],
-        inv_K_t=inv_K_t,
-        inv_C_t=inv_C_t,
-    )
-    for a in arrays.values():
-        a.setflags(write=False)
-    n = spec.dim
-    const = KernelConstants.for_dim(n)
+    arrays = [_read_only(a[0]) for a in (E11, E22T, tK / t, C)]
     (logdet_tK,), (logdet_C,) = logdet_tK.tolist(), logdet_C.tolist()
-    with np.errstate(over="ignore"):  # det_tK may overflow to inf; logdet_tK is finite
-        det_tK = float(np.exp(logdet_tK))
-    return GramianBundle(
-        t=t,
-        det_tK=det_tK,
-        logdet_tK=logdet_tK,
-        logdet_C=logdet_C,
-        trace_Q_inv_C=float((spec.Q @ inv_C_t).trace()),
-        log_norm_m=math.log(const.c_N) - (math.log(const.omega_N) + 0.5 * logdet_tK),
-        log_norm_C=-0.5 * n * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * logdet_C,
-        **arrays,
-    )
+    return GramianBundle(spec, t, *arrays, logdet_tK, logdet_C)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,10 @@ factors (2 tK(t))^{1/2}, leaving the per-time Gramian memo untouched.
 
 The L^p -> L^q smoothing check reads both norms of a single Gaussian
 (one term of monomial degree 0) in closed form, in any N: f and P_t f
-are then Gaussians whose L^r integrals are determinants.  Every other
-Schwartz function, a sum of terms or one with a polynomial factor,
-takes tensor norm grids (N <= 3).
+are then Gaussians whose L^r integrals are determinants, read off one
+bundle's K(t) and log det(t K(t)) (no inverse) and the slogdet of every
+Gaussian convolution.  Every other Schwartz function, a sum of terms or
+one with a polynomial factor, takes tensor norm grids (N <= 3).
 
 Every tensor grid (Gauss-Legendre and uniform, for the norms) is summed
 in C-order blocks of at most ``GRID_BLOCK`` points, so no full grid is
@@ -75,7 +76,7 @@ from .testfuncs import (
     ModulatedBump,
     TestFunction,
     UnsupportedDegreeError,
-    _oracle_factors,
+    _convolution_det,
     exact_semigroup_oracle,
     exact_semigroup_profile,
 )
@@ -541,6 +542,8 @@ def kernel_lr_norm(spec: OperatorSpec, Y, t, r) -> float:
     (4 pi)^{-N/2} e^{-t tr B} det C(t)^{-1/2} e^{-<C(t)^{-1} xi, xi>/4};
     substituting xi = 2 C(t)^{1/2} u leaves the integral of e^{-r|u|^2},
     which is (pi/r)^{N/2}.  Independent of Y by translation covariance.
+    A norm past the largest float raises DomainError; one below the
+    smallest subnormal rounds to 0.0, and subnormal ones lose digits.
     """
     t = _check_time(t)
     r = float(r)
@@ -555,7 +558,10 @@ def kernel_lr_norm(spec: OperatorSpec, Y, t, r) -> float:
     log_norm_C = -0.5 * n * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * logdet_C
     # log of the integral of the kernel's Gaussian factor to the power r
     log_mass = n * math.log(2.0) + 0.5 * logdet_C + 0.5 * n * math.log(math.pi / r)
-    return math.exp(log_norm_C + log_mass / r)
+    try:
+        return math.exp(log_norm_C + log_mass / r)
+    except OverflowError:
+        raise DomainError("the kernel L^r norm exceeds the float range") from None
 
 
 def _pushed_geometry(spec, f: TestFunction, t):
@@ -637,19 +643,17 @@ def sup_norm(f, dim: int, radius: float, order: int | None = None) -> float:
     )
 
 
-def _gaussian_norms(spec, f, p, q, t):
+def _gaussian_norms(spec, f, p, q, g):
     """||f||_p and ||P_t f||_q of one Gaussian c exp(-<S(y - c0), y - c0>).
 
     The integral of exp(-r <S w, w>) is (pi/r)^{N/2} det S^{-1/2}.  With
-    G = I + 2 Sigma S, Sigma = 2 t K(t) and half = log det G / 2, P_t f
-    is the Gaussian c e^{-half} exp(-<S'(X - e^{-tB} c0), X - e^{-tB} c0>),
+    t = g.t, G = I + 2 Sigma S, Sigma = 2 t K(t) and half = log det G / 2,
+    P_t f is the Gaussian c e^{-half} exp(-<S'(X - e^{-tB} c0), X - e^{-tB} c0>),
     S' = e^{tB'} S G^{-1} e^{tB}, whose log det S' is 2 t tr B +
     log det S - 2 half; its sup is the peak |c| e^{-half}.
     """
-    term = f.terms[0]
-    # the one factor entry is (term, A, G^{-1}, [log det G / 2], ...)
-    _, factors = _oracle_factors(spec, f, t)
-    half = float(factors[0][3][0])
+    term, t = f.terms[0], g.t
+    half = float(_convolution_det(2.0 * t * g.K_t, term.shape)[1])
     logdet_S = float(np.linalg.slogdet(term.shape)[1])
 
     def log_norm(r, logdet):
@@ -664,8 +668,9 @@ def _gaussian_norms(spec, f, p, q, t):
     return norm_f, peak * math.exp(log_norm(q, logdet_pushed))
 
 
-def _grid_norms(spec, f, p, q, t):
-    """||f||_p and ||P_t f||_q on tensor grids sized by _pushed_geometry."""
+def _grid_norms(spec, f, p, q, g):
+    """||f||_p and ||P_t f||_q, t = g.t, on grids sized by _pushed_geometry."""
+    t = g.t
     # |f|^p is sqrt(p) times narrower than f, and |P_t f|^q than P_t f
     rad_f, sig_f = _pushed_geometry(spec, f, None)
     order_f = _adaptive_order(rad_f, sig_f / math.sqrt(p), spec.dim)
@@ -689,8 +694,8 @@ def _uc_sides(spec, f, p, q, t):
     if not f.is_schwartz:
         raise DomainError("norms are defined for Schwartz-class functions only")
     closed = len(f.terms) == 1 and f.degree == 0
-    norm_f, lhs = (_gaussian_norms if closed else _grid_norms)(spec, f, p, q, t)
     g = gramians(spec, t)
+    norm_f, lhs = (_gaussian_norms if closed else _grid_norms)(spec, f, p, q, g)
     vol = KernelConstants.for_dim(spec.dim).omega_N * math.exp(0.5 * g.logdet_tK)
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     envelope = vol ** -(1.0 / p - inv_q) * math.exp(-t * spec.trace_B * inv_q) * norm_f

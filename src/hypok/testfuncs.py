@@ -152,12 +152,8 @@ class TestFunction:
     @property
     def is_schwartz(self):
         """True when every term has a positive definite shape matrix."""
-        for term in self.terms:
-            if np.linalg.norm(term.shape, 2) == 0:
-                return False
-            if float(np.linalg.eigvalsh(term.shape)[0]) <= 0:
-                return False
-        return True
+        # a zero shape matrix has eigenvalue 0 and fails the test
+        return all(float(np.linalg.eigvalsh(term.shape)[0]) > 0 for term in self.terms)
 
     def _prepare(self, Y):
         Y = np.asarray(Y, dtype=float)
@@ -351,21 +347,27 @@ def _convolution_factors(f, Sigma):
     log-determinant and the covariance carry a trailing axis that
     broadcasts over a batch of means.
     """
-    eye = np.eye(f.dim)
     factors = []
     for term in f.terms:
-        G = eye + 2.0 * Sigma @ term.shape
-        sign, logdet = np.linalg.slogdet(G)
-        if np.any(sign <= 0):
-            raise DomainError("convolution covariance lost positivity")
+        G, half_logdet = _convolution_det(Sigma, term.shape)
         Ginv = np.linalg.inv(G)
         A = _sym(term.shape @ Ginv)
         cov = _sym(Ginv @ Sigma)[..., None]
         pairings = _pairings(term.monomial) if term.degree else None
         factors.append(
-            (term, A, Ginv, np.asarray(0.5 * logdet)[..., None], cov, pairings)
+            (term, A, Ginv, np.asarray(half_logdet)[..., None], cov, pairings)
         )
     return factors
+
+
+def _convolution_det(Sigma, S):
+    """G = I + 2 Sigma S and log det(G) / 2 for one term's shape S, batched
+    over the leading axes of Sigma; DomainError unless det G > 0."""
+    G = np.eye(S.shape[0]) + 2.0 * Sigma @ S
+    sign, logdet = np.linalg.slogdet(G)
+    if np.any(sign <= 0):
+        raise DomainError("convolution covariance lost positivity")
+    return G, 0.5 * logdet
 
 
 def _sym(M):

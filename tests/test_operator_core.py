@@ -713,6 +713,80 @@ class TestGramianMemo:
         assert info.currsize == GRAMIAN_CACHE_SIZE
 
 
+def _eager_bundle(spec, t):
+    """Every bundle field by the formulas of a bundle computed in full at
+    construction, in the same operand order."""
+    E11, E22T, C, tK, logdet_tK, logdet_C = _block_gramians(spec, np.array([t]))
+    K = tK / t
+    inv_K_t, inv_C_t = np.linalg.inv(np.concatenate((K, C)))
+    n = spec.dim
+    const = KernelConstants.for_dim(n)
+    (logdet_tK,), (logdet_C,) = logdet_tK.tolist(), logdet_C.tolist()
+    with np.errstate(over="ignore"):
+        det_tK = float(np.exp(logdet_tK))
+    return dict(
+        t=t, exp_tB=E11[0], exp_minus_tB=E22T[0], K_t=K[0], C_t=C[0],
+        inv_K_t=inv_K_t, inv_C_t=inv_C_t, det_tK=det_tK,
+        logdet_tK=logdet_tK, logdet_C=logdet_C,
+        trace_Q_inv_C=float((spec.Q @ inv_C_t).trace()),
+        log_norm_m=math.log(const.c_N) - (math.log(const.omega_N) + 0.5 * logdet_tK),
+        log_norm_C=-0.5 * n * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * logdet_C,
+    )
+
+
+LAZY_FIELDS = ("inv_K_t", "inv_C_t", "trace_Q_inv_C", "log_norm_m", "log_norm_C", "det_tK")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLazyBundle:
+    def setup_method(self):
+        _gramian_bundle.cache_clear()
+
+    @pytest.mark.parametrize("spec", PRESET_SPECS + [CHAIN3], ids=lambda s: f"{s.name}{s.dim}")
+    def test_fields_match_eager_formulas_bit_for_bit(self, spec):
+        for t in (1e-4, 0.37, 2.5, 40.0, 1e3):
+            try:
+                want = _eager_bundle(spec, t)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    gramians(spec, t)
+                continue
+            g = gramians(spec, t)
+            for name, value in want.items():
+                got = getattr(g, name)
+                if isinstance(value, np.ndarray):
+                    assert np.array_equal(got, value), (name, t)
+                else:
+                    assert got == value, (name, t)
+
+    def test_det_tK_overflows_quietly_on_first_read(self):
+        g = gramians(OperatorSpec(np.eye(2), np.eye(2)), 200.0)
+        assert "det_tK" not in vars(g) and g.det_tK == math.inf
+
+    def test_derived_arrays_are_read_only_and_kept(self):
+        g = gramians(kolmogorov(2), 0.8)
+        for name in ("inv_K_t", "inv_C_t"):
+            first = getattr(g, name)
+            assert getattr(g, name) is first
+            with pytest.raises(ValueError):
+                first[0, 0] = 1.0
+
+    @pytest.mark.parametrize("spec", [heat(2), kolmogorov(1), ornstein_uhlenbeck(2), CHAIN3],
+                             ids=lambda s: f"{s.name}{s.dim}")
+    def test_engine_reads_compute_no_inverse(self, spec, monkeypatch):
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+        g = gramians(spec, 0.6)
+        g.K_t, g.logdet_tK, g.exp_tB, g.C_t, g.logdet_C
+        assert calls == []
+        assert not set(LAZY_FIELDS) & set(vars(g))
+        g.trace_Q_inv_C
+        assert len(calls) == 1 and "inv_K_t" not in vars(g)
+        g.inv_K_t, g.inv_C_t
+        assert len(calls) == 2
+
+
 class TestSpecValidation:
     def test_rejects_asymmetric_q(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,9 @@
 """Tests for semigroup application, Poisson subordination, kernel norms."""
 
 import math
+import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypok.kernel import heat_kernel
 from hypok.operator_core import (
     DomainError,
     KernelConstants,
+    OperatorSpec,
     _block_gramians,
     _gramian_bundle,
     gramians,
@@ -54,7 +57,7 @@ from hypok.testfuncs import (
     linear,
 )
 from test_kernel import CHAIN3
-from test_testfuncs import gh_semigroup
+from test_testfuncs import _linalg_module, gh_semigroup
 
 PRESETS = lambda: (heat(1), heat(2), kolmogorov(1), ornstein_uhlenbeck(2))
 
@@ -867,6 +870,24 @@ class TestKernelLrNorm:
                 assert got == math.exp(g.log_norm_C + log_mass / r)
                 _gramian_bundle.cache_clear()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float_range_ends(self):
+        # the L^1 norm on ornstein_uhlenbeck(3) is e^{3t}: past log(DBL_MAX)
+        # it raises DomainError instead of math.exp's OverflowError
+        ou3 = ornstein_uhlenbeck(3)
+        assert kernel_lr_norm(ou3, np.zeros(3), 236.5, 1.0) == pytest.approx(
+            math.exp(709.5), rel=1e-12
+        )
+        for t in (237.0, 316.0):
+            with pytest.raises(DomainError):
+                kernel_lr_norm(ou3, np.zeros(3), t, 1.0)
+        assert kernel_lr_norm(ou3, np.zeros(3), 316.0, 2.0) < math.inf
+        # an expanding drift sends the norm below the float range: 0.0, and a
+        # subnormal value on the way down
+        expanding = OperatorSpec(np.eye(3), np.eye(3))
+        assert 0.0 < kernel_lr_norm(expanding, np.zeros(3), 240.0, 1.0) < sys.float_info.min
+        assert kernel_lr_norm(expanding, np.zeros(3), 250.0, 1.0) == 0.0
+
     def test_rejects_r_below_one(self):
         with pytest.raises(DomainError):
             kernel_lr_norm(heat(1), np.zeros(1), 1.0, 0.5)
@@ -1168,6 +1189,47 @@ class TestUltracontractivityClosedForm:
         result = ultracontractivity_check(heat(2), f, 1.0, 2.0, 0.7)
         assert result.method == "grid"
         assert result.passed
+
+    def test_cold_check_builds_no_convolution_factors(self, monkeypatch):
+        # the closed route reads K(t) and log det tK(t) off one bundle and
+        # takes log det(I + 2 Sigma S) from one slogdet: no factorisation of
+        # P_t f, no bundle inverse and no SVD (is_schwartz decides by eigvalsh)
+        rng = np.random.default_rng(16)
+        specs = [heat(1), heat(2), heat(3), kolmogorov(1), kolmogorov(2),
+                 ornstein_uhlenbeck(2), CHAIN3]
+        cases = [(spec, random_gaussian(rng, spec.dim)) for spec in specs]
+        calls = Counter()
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        linalg_impl = _linalg_module()
+        monkeypatch.setattr(testfuncs_module, "_convolution_factors",
+                            counted("factors", testfuncs_module._convolution_factors))
+        monkeypatch.setattr(linalg_impl, "svd", counted("svd", linalg_impl.svd))
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        _gramian_bundle.cache_clear()
+        testfuncs_module._oracle_factors.cache_clear()
+        results = [
+            (spec, f, t, ultracontractivity_check(spec, f, p, q, t))
+            for spec, f in cases
+            for t in (0.05, 0.9)
+            for p, q in ((1.0, 2.0), (2.0, 4.0), (1.0, math.inf))
+        ]
+        assert calls == Counter()
+        assert all(r.method == "closed-form" for *_, r in results)
+        # the peak |c| e^{-half} carries the half log-determinant of the
+        # convolution factors to the last bit
+        monkeypatch.undo()
+        for spec, f, t, r in results[2::3]:
+            term = f.terms[0]
+            g = gramians(spec, t)
+            (_, _, _, half, _, _), = testfuncs_module._convolution_factors(f, 2.0 * t * g.K_t)
+            assert r.lhs == abs(term.coeff) * math.exp(-float(half[0]))
 
     @pytest.mark.parametrize("shape", [np.zeros((2, 2)), np.diag([1.0, 0.0])])
     def test_single_term_without_decay_is_rejected(self, shape):

@@ -1,5 +1,7 @@
 """Tests for the Gaussian-polynomial family and its closed-form P_t oracle."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,14 @@ from hypok.testfuncs import (
     generator_apply,
     linear,
 )
+
+
+def _linalg_module():
+    """The module whose global ``svd`` np.linalg.norm calls for the 2-norm."""
+    try:
+        return importlib.import_module("numpy.linalg._linalg")
+    except ImportError:  # NumPy < 2
+        return importlib.import_module("numpy.linalg.linalg")
 
 
 def _sym_sqrt(M):
@@ -95,6 +105,25 @@ class TestEvaluation:
         assert gaussian(np.zeros(2), np.eye(2)).is_schwartz
         assert not linear(np.array([1.0, 0.0])).is_schwartz
         assert not constant(3.0, 2).is_schwartz
+
+    def test_schwartz_flag_takes_no_svd(self, monkeypatch):
+        # the least eigenvalue decides alone; a zero shape has eigenvalue 0
+        cases = [
+            (gaussian(np.zeros(2), np.eye(2)), True),
+            (gaussian(np.ones(3), 1e-300 * np.eye(3)), True),
+            (linear(np.array([1.0, 0.0])), False),
+            (linear(np.zeros(2)), False),
+            (constant(3.0, 2), False),
+            (constant(0.0, 1), False),
+            (gaussian(np.zeros(2), np.diag([1.0, 0.0])), False),
+            (gaussian(np.zeros(2), np.eye(2)) + constant(1.0, 2), False),
+        ]
+        calls = []
+        linalg_impl = _linalg_module()
+        svd = linalg_impl.svd
+        monkeypatch.setattr(linalg_impl, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        assert [f.is_schwartz for f, _ in cases] == [want for _, want in cases]
+        assert calls == []
 
     def test_nonsymmetric_shape_rejected(self):
         with pytest.raises(ValueError):

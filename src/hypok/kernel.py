@@ -35,6 +35,8 @@ from .operator_core import (
     KernelConstants,
     OperatorSpec,
     _check_time,
+    _point,
+    _points,
     gramians,
 )
 from .testfuncs import _quad_form
@@ -55,15 +57,6 @@ __all__ = [
 # below this the prefactor c_N / V(t) overflows before the exponent can
 # compensate, so evaluations are rejected rather than returned as inf
 T_MIN = 1e-12
-
-
-def _point(x, dim):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError("expected a point in R^%d, got shape %s" % (dim, x.shape))
-    if not all(map(math.isfinite, x.tolist())):
-        raise DomainError("point has non-finite coordinates")
-    return x
 
 
 @dataclass(frozen=True)
@@ -118,17 +111,12 @@ def pseudo_distance(spec: OperatorSpec, X, Y, t) -> float:
     t = _check_time(t, T_MIN)
     g = gramians(spec, t)
     X = _point(X, spec.dim)
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape[-1:] != (spec.dim,):
-        raise ValueError("Y must have trailing dimension %d" % spec.dim)
-    # np.vdot sums the squares in one BLAS pass and, unlike matmul, warns
-    # of no overflow: the sum is finite unless an entry is not (or the sum
-    # overflows, and the exact test decides); the same holds for q below
-    if not math.isfinite(np.vdot(Y, Y)) and not np.isfinite(Y).all():
-        raise DomainError("Y has non-finite coordinates")
+    Y = _points(Y, spec.dim)
     d = Y - g.exp_tB @ X
     q = _quad_form(g.inv_K_t, d)
     out = np.sqrt(np.maximum(q, 0.0))
+    # np.vdot warns of no overflow, unlike matmul: its sum is finite unless
+    # an entry of q is not (or the sum overflows, and the mask below decides)
     if not (math.isfinite(np.vdot(q, q)) and q.min(initial=math.inf) >= 2.0**-970):
         out = np.array(out)
         redo = ~((q >= 2.0**-970) & (q < math.inf)) & d.any(axis=-1)

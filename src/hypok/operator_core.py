@@ -102,6 +102,28 @@ def _check_time(t, t_min: float = 0.0) -> float:
     return t
 
 
+def _point(x, dim: int) -> np.ndarray:
+    """x as a float point of R^dim, or DomainError for a non-finite coordinate."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise ValueError("expected a point in R^%d, got shape %s" % (dim, x.shape))
+    if not all(map(math.isfinite, x.tolist())):
+        raise DomainError("point has non-finite coordinates")
+    return x
+
+
+def _points(Y, dim: int) -> np.ndarray:
+    """Y as float points of shape (..., dim), or DomainError for a non-finite one."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape[-1:] != (dim,):
+        raise ValueError("points must have trailing dimension %d" % dim)
+    # one BLAS pass that, unlike matmul, warns of no overflow: the sum is
+    # finite unless an entry is not, or it overflows and isfinite decides
+    if not math.isfinite(np.vdot(Y, Y)) and not np.isfinite(Y).all():
+        raise DomainError("points have non-finite coordinates")
+    return Y
+
+
 def sym_sqrt(M) -> np.ndarray:
     """Symmetric PSD square root (eigendecomposition; deterministic).
 
@@ -450,7 +472,8 @@ def gramians(spec: OperatorSpec, t: float) -> GramianBundle:
     (specs compare by content; times are never rounded, so times one ulp
     apart get separate bundles), every returned array is read-only, and at
     most ``GRAMIAN_CACHE_SIZE`` bundles are kept, least recently used first
-    out.
+    out. The memo serves the kernel layer and the smoothing check; a
+    fresh-time ``P_t f`` and every time grid read the engine directly.
     """
     return _gramian_bundle(spec, _check_time(t))
 
@@ -511,21 +534,19 @@ def hypoellipticity_check(spec: OperatorSpec) -> HypoellipticityReport:
 def logdet_derivative_identity(spec: OperatorSpec, t: float) -> float:
     """Residual of tr(Q C^{-1}(t)) = d/dt log det C(t) + 2 tr B.
 
-    Returns the max of the scalar residual (d/dt by central differences,
-    h = 1e-5 t) and the operator-norm residual of the Gramian ODE
+    Returns the max of the scalar residual, with d/dt log det C = tr(C^{-1} C')
+    exact, and the operator-norm residual of the Gramian ODE
     C'(t) = e^{-tB} Q e^{-tB'} = Q - B C(t) - C(t) B'. The matrix residual is
     normalized by the size of its leading term: for expanding drifts the terms
     grow like e^{2t||B||} and an absolute residual would be pure roundoff.
     """
     g = gramians(spec, t)  # validates t
     trQCinv = g.trace_Q_inv_C
-    h = 1e-5 * t
-    *_, ld = _block_gramians(spec, np.array([t - h, t + h]))
-    ddt_logdetC = float((ld[1] - ld[0]) / (2 * h))
+    EmB = g.exp_minus_tB
+    lead = EmB @ spec.Q @ EmB.T  # C'(t)
+    ddt_logdetC = float((g.inv_C_t @ lead).trace())
     scalar_res = abs(trQCinv - ddt_logdetC - 2 * spec.trace_B) / (1.0 + abs(trQCinv))
 
-    EmB = g.exp_minus_tB
-    lead = EmB @ spec.Q @ EmB.T
     ode_res = np.linalg.norm(
         lead - spec.Q + spec.B @ g.C_t + g.C_t @ spec.B.T, 2
     ) / (1.0 + np.linalg.norm(lead, 2))

@@ -26,7 +26,8 @@ A Poisson call builds its whole time grid first and takes one pass of
 the Gramian engine for it: the closed form is batched over the grid,
 and a compact profile takes its Monte Carlo means for the whole grid in
 one pass over node blocks, from the batched means e^{tB} X and sampling
-factors (2 tK(t))^{1/2}, leaving the per-time Gramian memo untouched.
+factors (2 tK(t))^{1/2}.  Single-time calls, like Poisson grids, leave
+the per-time (spec, t) Gramian memo untouched.
 
 The L^p -> L^q smoothing check reads both norms of a single Gaussian
 (one term of monomial degree 0) in closed form, in any N: f and P_t f
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -68,6 +69,7 @@ from .operator_core import (
     OperatorSpec,
     _block_gramians,
     _check_time,
+    _point,
     gramians,
     sym_sqrt,
 )
@@ -77,6 +79,9 @@ from .testfuncs import (
     TestFunction,
     UnsupportedDegreeError,
     _convolution_det,
+    _convolve,
+    _factored,
+    _matmul,
     exact_semigroup_oracle,
     exact_semigroup_profile,
 )
@@ -303,12 +308,7 @@ def _check_function(spec, f, kinds):
 def _check_input(spec, f, X, kinds):
     """X as a float point of R^N, once f is one of ``kinds`` on R^N."""
     _check_function(spec, f, kinds)
-    X = np.asarray(X, dtype=float)
-    if X.shape != (spec.dim,):
-        raise ValueError("X must be a point in R^%d" % spec.dim)
-    if not all(map(math.isfinite, X.tolist())):
-        raise DomainError("X has non-finite coordinates")
-    return X
+    return _point(X, spec.dim)
 
 
 def _mc_means(f, mus, roots, quad):
@@ -408,9 +408,7 @@ def apply_semigroup_report(
         value = exact_semigroup_oracle(spec, f, t, X)
         return SemigroupValue(value=value, stderr=0.0, method="closed-form")
 
-    g = gramians(spec, t)
-    root = math.sqrt(2.0 * t) * sym_sqrt(g.K_t)
-    means = _mc_means(f, (g.exp_tB @ X)[None], root[None], quad)[0]
+    means = _mc_profile(spec, f, np.array([t]), X, quad)[0]
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(MC_REPLICATES))
     return SemigroupValue(value=value, stderr=stderr, method="monte-carlo")
@@ -438,19 +436,19 @@ def semigroup_gradient(spec: OperatorSpec, f: TestFunction, t, X) -> np.ndarray:
     return exact_semigroup_oracle(spec, f, t, X, gradient=True)
 
 
-def _poisson_profile(spec, f, ts, X, quad):
-    """P_t f(X) at every time of ``ts`` from one engine pass.
+def _mc_profile(spec, f, ts, X, quad):
+    """Replicate means (len(ts), MC_REPLICATES) of P_t f(X), f a compact
+    profile, from one engine pass and one blocked pass of :func:`_mc_means`."""
+    exp_tB, _, _, tK, _, _ = _block_gramians(spec, ts)
+    return _mc_means(f, exp_tB @ X, sym_sqrt(2.0 * tK), quad)
 
-    Closed form for the family.  A compact profile takes one Monte Carlo
-    mean per time on the shared draw set, all times in one blocked pass
-    of :func:`_mc_means`; the means e^{tB} X and the sampling factors
-    (2 tK(t))^{1/2} are batched over the grid.
-    """
+
+def _poisson_profile(spec, f, ts, X, quad):
+    """P_t f(X) at every time of ``ts`` from one engine pass: closed form
+    for the family, one Monte Carlo mean per time for a compact profile."""
     if isinstance(f, TestFunction):
         return exact_semigroup_profile(spec, f, ts, X)
-    exp_tB, _, _, tK, _, _ = _block_gramians(spec, ts)
-    means = _mc_means(f, exp_tB @ X, sym_sqrt(2.0 * tK), quad)
-    return np.mean(means, axis=1)
+    return np.mean(_mc_profile(spec, f, ts, X, quad), axis=1)
 
 
 def apply_poisson(
@@ -549,9 +547,7 @@ def kernel_lr_norm(spec: OperatorSpec, Y, t, r) -> float:
     r = float(r)
     if not math.isfinite(r) or r < 1.0:
         raise DomainError("r must satisfy r >= 1")
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape != (spec.dim,):
-        raise ValueError("Y must be a point in R^%d" % spec.dim)
+    _point(Y, spec.dim)
     # only log det C(t) is needed: no Gramian bundle is built or cached
     (logdet_C,) = _block_gramians(spec, np.array([t]))[5].tolist()
     n = spec.dim
@@ -675,7 +671,12 @@ def _grid_norms(spec, f, p, q, g):
     rad_f, sig_f = _pushed_geometry(spec, f, None)
     order_f = _adaptive_order(rad_f, sig_f / math.sqrt(p), spec.dim)
     norm_f = lp_norm(f.value, p, spec.dim, rad_f, order=order_f)
-    func = partial(exact_semigroup_oracle, spec, f, t)
+    # P_t f factored once; every grid block is one pass of _convolve
+    exp_tB, factors = _factored(spec, f, np.array([t]))
+
+    def func(pts):
+        return _convolve(factors, _matmul(pts, exp_tB[0].T)[None])[0]
+
     rad_p, sig_p = _pushed_geometry(spec, f, t)
     if math.isinf(q):
         return norm_f, sup_norm(func, spec.dim, rad_p)

@@ -30,7 +30,9 @@ from .operator_core import (
     DomainError,
     OperatorSpec,
     _block_gramians,
-    gramians,
+    _check_time,
+    _point,
+    _points,
 )
 
 __all__ = [
@@ -48,9 +50,6 @@ __all__ = [
 
 MAX_EVAL_DEGREE = 4
 
-# factored convolutions kept by exact_semigroup_oracle; one is a few
-# small matrices per term
-CONVOLUTION_CACHE_SIZE = 64
 # monomials whose Isserlis pairings _pairings keeps (126 at N = 5)
 PAIRINGS_CACHE_SIZE = 256
 
@@ -59,12 +58,10 @@ class UnsupportedDegreeError(ValueError):
     """Monomial degree exceeds what the requested operation supports."""
 
 
-def _as_vector(x, dim=None):
+def _as_vector(x):
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise ValueError("expected a vector, got shape %s" % (v.shape,))
-    if dim is not None and v.shape[0] != dim:
-        raise ValueError("dimension mismatch: %d != %d" % (v.shape[0], dim))
     return v
 
 
@@ -233,41 +230,24 @@ def _monomial(w, monomial):
     return out
 
 
-def _partial_product(w, monomial, skip):
-    out = np.ones(w.shape[:-1])
-    for i, k in enumerate(monomial):
-        if k and i not in skip:
-            out = out * w[..., i] ** k
-    return out
-
-
 def _monomial_grad(w, monomial):
-    n = len(monomial)
-    out = np.zeros(w.shape[:-1] + (n,))
+    """Gradient of w^k: entry j is k_j w_j^(k_j - 1) times w^k with k_j set to 0."""
+    out = np.zeros(w.shape[:-1] + (len(monomial),))
     for j, k in enumerate(monomial):
-        if k == 0:
-            continue
-        rest = _partial_product(w, monomial, {j})
-        out[..., j] = k * w[..., j] ** (k - 1) * rest
+        if k:
+            rest = _monomial(w, monomial[:j] + (0,) + monomial[j + 1 :])
+            out[..., j] = k * w[..., j] ** (k - 1) * rest
     return out
 
 
 def _monomial_hess(w, monomial):
+    """Hessian of w^k: row i is k_i times the gradient of w^(k - e_i)."""
     n = len(monomial)
     out = np.zeros(w.shape[:-1] + (n, n))
-    for i, ki in enumerate(monomial):
-        if ki >= 2:
-            rest = _partial_product(w, monomial, {i})
-            out[..., i, i] = ki * (ki - 1) * w[..., i] ** (ki - 2) * rest
-        if ki == 0:
-            continue
-        for j, kj in enumerate(monomial):
-            if j <= i or kj == 0:
-                continue
-            rest = _partial_product(w, monomial, {i, j})
-            val = ki * kj * w[..., i] ** (ki - 1) * w[..., j] ** (kj - 1) * rest
-            out[..., i, j] = val
-            out[..., j, i] = val
+    for i, k in enumerate(monomial):
+        if k:
+            lowered = monomial[:i] + (k - 1,) + monomial[i + 1 :]
+            out[..., i, :] = k * _monomial_grad(w, lowered)
     return out
 
 
@@ -437,10 +417,12 @@ def _convolve(factors, mu, gradient=False):
     return total
 
 
-@functools.lru_cache(maxsize=CONVOLUTION_CACHE_SIZE)
-def _oracle_factors(spec, f, t):
-    g = gramians(spec, t)
-    return g.exp_tB, _convolution_factors(f, 2.0 * t * g.K_t)
+def _factored(spec, f, ts):
+    """e^{tB} and the convolution factors of f against covariance 2 tK(t),
+    stacked over the 1-D array ``ts``, from one engine pass."""
+    exp_tB, _, _, tK, _, _ = _block_gramians(spec, ts)
+    # tK already carries the factor t; the covariance is 2 tK(t)
+    return exp_tB, _convolution_factors(f, 2.0 * tK)
 
 
 def exact_semigroup_oracle(spec: OperatorSpec, f: TestFunction, t, X, gradient=False):
@@ -467,20 +449,17 @@ def exact_semigroup_oracle(spec: OperatorSpec, f: TestFunction, t, X, gradient=F
 
     Notes
     -----
-    The factorisation is memoised per ``(spec, f, t)`` (test functions
-    compare by identity), so evaluating one ``P_t f`` block by block
-    factors it once.
+    Each call takes one engine pass and one factorisation of f, for any
+    number of points.  A non-finite point raises DomainError.
     """
     if f.dim != spec.dim:
         raise ValueError("dimension mismatch between spec and f")
-    X = np.asarray(X, dtype=float)
-    if X.shape[-1:] != (spec.dim,):
-        raise ValueError("points must have trailing dimension %d" % spec.dim)
-    exp_tB, factors = _oracle_factors(spec, f, float(t))
+    X = _points(X, spec.dim)
+    exp_tB, factors = _factored(spec, f, np.array([_check_time(t)]))
     flat = X.reshape(-1, spec.dim)
-    vals = _convolve(factors, _matmul(flat, exp_tB.T), gradient)
+    vals = _convolve(factors, _matmul(flat, exp_tB[0].T)[None], gradient)[0]
     if gradient:
-        return _matmul(vals, exp_tB).reshape(X.shape)
+        return _matmul(vals, exp_tB[0]).reshape(X.shape)
     return float(vals[0]) if X.ndim == 1 else vals.reshape(X.shape[:-1])
 
 
@@ -493,14 +472,12 @@ def exact_semigroup_profile(spec: OperatorSpec, f: TestFunction, ts, X):
     """
     if f.dim != spec.dim:
         raise ValueError("dimension mismatch between spec and f")
-    X = _as_vector(X, spec.dim)
+    X = _point(np.atleast_1d(X), spec.dim)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     # min propagates a NaN, which fails the comparison
     if not (ts.min(initial=math.inf) > 0.0 and ts.max(initial=0.0) < math.inf):
         raise DomainError("times must be positive and finite")
-    exp_tB, _, _, tK, _, _ = _block_gramians(spec, ts)
-    # tK already carries the factor t; the covariance is 2 tK(t)
-    factors = _convolution_factors(f, 2.0 * tK)
+    exp_tB, factors = _factored(spec, f, ts)
     return _convolve(factors, (exp_tB @ X)[:, None, :])[:, 0]
 
 

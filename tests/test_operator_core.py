@@ -615,6 +615,17 @@ class TestLogdetDerivativeIdentity:
     def test_grid_residuals(self, spec, t):
         assert logdet_derivative_identity(spec, t) <= 1e-7
 
+    @pytest.mark.parametrize(
+        "spec",
+        [heat(2), kolmogorov(1), kolmogorov(2), ornstein_uhlenbeck(2), CHAIN3],
+        ids=["heat2", "kolmogorov1", "kolmogorov2", "ou2", "chain3"],
+    )
+    @pytest.mark.parametrize("t", [1e-4, 1e-3, 0.1, 1.0, 10.0, 30.0, 100.0])
+    def test_exact_time_derivative(self, spec, t):
+        # d/dt log det C = tr(C^{-1} C') with the integrand C' = e^{-tB} Q e^{-tB'};
+        # a central difference in t left residuals up to 1.3e-10 on this grid
+        assert logdet_derivative_identity(spec, t) <= 1e-13
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             logdet_derivative_identity(heat(1), -0.5)

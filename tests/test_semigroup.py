@@ -241,6 +241,27 @@ class TestApplySemigroup:
         with pytest.raises(DomainError):
             apply_semigroup_report(heat(2), f, 1.0, X)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t: apply_semigroup(kolmogorov(1), gaussian(np.zeros(2), np.eye(2)), t, [0.3, 0.1]),
+            lambda t: semigroup_gradient(kolmogorov(1), gaussian(np.zeros(2), np.eye(2)), t, [0.3, 0.1]),
+            lambda t: exact_semigroup_oracle(
+                kolmogorov(1), gaussian(np.zeros(2), np.eye(2)), t, np.ones((3, 2))
+            ),
+            lambda t: apply_semigroup_report(
+                kolmogorov(1), CompactBump(np.zeros(2), 0.5, 1.0), t, [0.3, 0.1],
+                QuadratureSpec(mc_samples=1024),
+            ),
+        ],
+        ids=["apply_semigroup", "semigroup_gradient", "oracle", "monte-carlo"],
+    )
+    def test_fresh_time_leaves_gramian_memo(self, call):
+        # one engine pass per call: no (spec, t) bundle is built or cached
+        _gramian_bundle.cache_clear()
+        call(0.4321)
+        assert _gramian_bundle.cache_info().currsize == 0
+
     def test_constant_preserved(self):
         for spec in PRESETS():
             X = np.linspace(-1.0, 1.0, spec.dim)
@@ -789,6 +810,13 @@ def test_overflowing_gramians_raise(call, t):
 
 
 class TestKernelLrNorm:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("Y", [[math.nan, 0.0], [0.0, -math.inf]], ids=["nan", "inf"])
+    def test_rejects_non_finite_point(self, Y):
+        # Y was read for its shape only, so a NaN point returned a norm
+        with pytest.raises(DomainError):
+            kernel_lr_norm(heat(2), Y, 0.5, 2.0)
+
     def test_r_one_is_mass(self):
         # integral of p over the first slot is e^{-t tr B} for every spec
         for spec in PRESETS():
@@ -1190,6 +1218,24 @@ class TestUltracontractivityClosedForm:
         assert result.method == "grid"
         assert result.passed
 
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    def test_grid_route_factors_once(self, monkeypatch, q):
+        # P_t f is factored once for the whole norm grid, not once per
+        # block, with no memo of factorisations behind it
+        calls = []
+        factors = testfuncs_module._convolution_factors
+
+        def counted(f, Sigma):
+            calls.append(f)
+            return factors(f, Sigma)
+
+        monkeypatch.setattr(testfuncs_module, "_convolution_factors", counted)
+        f = gaussian(np.zeros(3), np.eye(3)) + gaussian(np.full(3, 0.2), 0.5 * np.eye(3))
+        result = ultracontractivity_check(heat(3), f, 1.0, q, 0.6)
+        assert result.method == "grid"
+        assert result.passed
+        assert calls == [f]
+
     def test_cold_check_builds_no_convolution_factors(self, monkeypatch):
         # the closed route reads K(t) and log det tK(t) off one bundle and
         # takes log det(I + 2 Sigma S) from one slogdet: no factorisation of
@@ -1213,7 +1259,6 @@ class TestUltracontractivityClosedForm:
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
         _gramian_bundle.cache_clear()
-        testfuncs_module._oracle_factors.cache_clear()
         results = [
             (spec, f, t, ultracontractivity_check(spec, f, p, q, t))
             for spec, f in cases

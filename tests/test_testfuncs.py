@@ -285,6 +285,19 @@ class TestExactSemigroupOracle:
         point = [exact_semigroup_oracle(spec, f, t, X) for t in ts]
         assert_allclose(prof, point, rtol=1e-13)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_points(self, bad):
+        # the oracle and the profile returned NaN or warned of an invalid matmul
+        f = gaussian(np.zeros(2), np.eye(2), monomial=(1, 0))
+        X = np.array([0.3, bad])
+        for points in (X, np.stack([np.zeros(2), X])):
+            for gradient in (False, True):
+                with pytest.raises(DomainError):
+                    exact_semigroup_oracle(heat(2), f, 0.5, points, gradient=gradient)
+        with pytest.raises(DomainError):
+            exact_semigroup_profile(heat(2), f, [0.5, 1.0], X)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     def test_profile_rejects_bad_times(self, bad):
         f = gaussian(np.zeros(2), np.eye(2))

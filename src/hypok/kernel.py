@@ -125,11 +125,13 @@ def pseudo_distance(spec: OperatorSpec, X, Y, t) -> float:
 
 
 def volume(spec: OperatorSpec, t) -> float:
-    """Volume function V(t) = omega_N det(t K(t))^{1/2}."""
+    """Volume function V(t) = omega_N det(t K(t))^{1/2}; DomainError past the float range."""
     t = _check_time(t, T_MIN)
-    g = gramians(spec, t)
-    const = KernelConstants.for_dim(spec.dim)
-    return const.omega_N * math.exp(0.5 * g.logdet_tK)
+    log_omega = math.log(KernelConstants.for_dim(spec.dim).omega_N)
+    try:
+        return math.exp(log_omega + 0.5 * gramians(spec, t).logdet_tK)
+    except OverflowError:
+        raise DomainError("V(t) exceeds the float range") from None
 
 
 def heat_kernel(spec: OperatorSpec, X, Y, t) -> KernelEval:

@@ -29,12 +29,13 @@ one pass over node blocks, from the batched means e^{tB} X and sampling
 factors (2 tK(t))^{1/2}.  Single-time calls, like Poisson grids, leave
 the per-time (spec, t) Gramian memo untouched.
 
-The L^p -> L^q smoothing check reads both norms of a single Gaussian
-(one term of monomial degree 0) in closed form, in any N: f and P_t f
-are then Gaussians whose L^r integrals are determinants, read off one
-bundle's K(t) and log det(t K(t)) (no inverse) and the slogdet of every
-Gaussian convolution.  Every other Schwartz function, a sum of terms or
-one with a polynomial factor, takes tensor norm grids (N <= 3).
+The L^p -> L^q smoothing check works in the transition mean u = e^{tB} X:
+there P_t f is f * N(0, Sigma), Sigma = 2 t K(t), and dX = e^{-t tr B} du,
+so ||P_t f||_q is e^{-t tr B / q} ||f * N(0, Sigma)||_q, and the check
+reads only Sigma and log det(t K(t)) off one bundle.  A single Gaussian
+(one term of monomial degree 0) has both norms in closed form, in any N,
+from one slogdet.  Every other Schwartz function takes tensor norm grids
+(N <= 3), laid in u along the covariances of its convolved terms.
 
 Every tensor grid (Gauss-Legendre and uniform, for the norms) is summed
 in C-order blocks of at most ``GRID_BLOCK`` points, so no full grid is
@@ -46,9 +47,10 @@ replicate) once and reuses them for every block.
 
 Kernel L^r norms over the first kernel slot are Gaussian integrals in
 closed form, value = c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r} with
-c_{N,r} = [(4 pi)^{-N/2} omega_N]^{1-1/r} r^{-N/(2r)}.  In the variable
-e^{-tB} Y, P_t f is that Gaussian convolved with f, so the sharp Young
-inequality (Beckner 1975, Ann. Math. 102) gives the smoothing constant
+c_{N,r} = [(4 pi)^{-N/2} omega_N]^{1-1/r} r^{-N/(2r)}.  In u the factor
+e^{-t tr B / q} multiplies both sides of the smoothing bound, which is
+then the sharp Young inequality for f * N(0, Sigma) (Beckner 1975, Ann.
+Math. 102), with the smoothing constant
 C(N, p, q) = (A_p A_r A_{q'})^N c_{N,r}, 1 + 1/q = 1/p + 1/r, with the
 Babenko-Beckner factors A_m = (m^{1/m} / m'^{1/m'})^{1/2}, A_1 = A_inf = 1.
 Gaussian kernels have only Gaussian maximisers (Lieb 1990, Invent. Math.
@@ -78,9 +80,10 @@ from .testfuncs import (
     ModulatedBump,
     TestFunction,
     UnsupportedDegreeError,
+    _check_function,
     _convolution_det,
+    _convolution_factors,
     _convolve,
-    _factored,
     _matmul,
     exact_semigroup_oracle,
     exact_semigroup_profile,
@@ -178,8 +181,12 @@ class SemigroupValue:
 class UltracontractivityResult:
     """Both sides of the L^p -> L^q smoothing bound plus bookkeeping.
 
-    ``method`` is ``"closed-form"`` or ``"grid"``, the route that
-    computed the two norms.
+    ``lhs`` and ``rhs`` carry the drift factor e^{-t tr B / q}, and
+    ``passed`` is decided without it, allowing ``tail_bound = 1e-8
+    (|lhs| + |rhs|)``; ``p`` and ``q`` may be inf.  ``method`` is
+    ``"closed-form"`` or ``"grid"``, the route of the two norms; a grid
+    L^inf norm is a uniform-grid maximum, a lower estimate of the sup
+    that ``tail_bound`` does not cover.
     """
 
     lhs: float
@@ -295,14 +302,6 @@ def _mc_draw_set(dim, mc_samples, rng_seed):
         rows[k, -1] = radii[order]
     rows.setflags(write=False)
     return rows
-
-
-def _check_function(spec, f, kinds):
-    """Raise unless f is one of ``kinds`` on R^N."""
-    if not isinstance(f, kinds):
-        raise TypeError("unsupported function type %r" % type(f).__name__)
-    if f.dim != spec.dim:
-        raise ValueError("dimension mismatch between spec and f")
 
 
 def _check_input(spec, f, X, kinds):
@@ -536,56 +535,45 @@ def lr_norm_constant(dim: int, r: float) -> float:
 def kernel_lr_norm(spec: OperatorSpec, Y, t, r) -> float:
     """L^r norm of p(., Y, t) over the first slot, in closed form.
 
-    In the drift-free variable xi = X - e^{-tB} Y the kernel is
-    (4 pi)^{-N/2} e^{-t tr B} det C(t)^{-1/2} e^{-<C(t)^{-1} xi, xi>/4};
-    substituting xi = 2 C(t)^{1/2} u leaves the integral of e^{-r|u|^2},
-    which is (pi/r)^{N/2}.  Independent of Y by translation covariance.
-    A norm past the largest float raises DomainError; one below the
-    smallest subnormal rounds to 0.0, and subnormal ones lose digits.
+    In the transition mean u = e^{tB} X the kernel is the density of
+    N(Y - u; 0, 2 t K(t)), and dX = e^{-t tr B} du: the norm is c_{N,r}
+    V(t)^{-(1-1/r)} e^{-t tr B / r}, taken in logs from log det(t K(t))
+    (one engine pass, no bundle), where omega_N cancels.  Independent of
+    Y by translation covariance.  A norm past the largest float raises
+    DomainError; one below the smallest subnormal rounds to 0.0, and
+    subnormal ones lose digits.
     """
     t = _check_time(t)
     r = float(r)
     if not math.isfinite(r) or r < 1.0:
         raise DomainError("r must satisfy r >= 1")
     _point(Y, spec.dim)
-    # only log det C(t) is needed: no Gramian bundle is built or cached
-    (logdet_C,) = _block_gramians(spec, np.array([t]))[5].tolist()
+    (logdet_tK,) = _block_gramians(spec, np.array([t]))[4].tolist()
     n = spec.dim
-    log_norm_C = -0.5 * n * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * logdet_C
-    # log of the integral of the kernel's Gaussian factor to the power r
-    log_mass = n * math.log(2.0) + 0.5 * logdet_C + 0.5 * n * math.log(math.pi / r)
+    log_density = -0.5 * n * math.log(4.0 * math.pi) - 0.5 * logdet_tK
+    log_value = (1.0 - 1.0 / r) * log_density - (0.5 * n * math.log(r) + t * spec.trace_B) / r
     try:
-        return math.exp(log_norm_C + log_mass / r)
+        return math.exp(log_value)
     except OverflowError:
         raise DomainError("the kernel L^r norm exceeds the float range") from None
 
 
-def _pushed_geometry(spec, f: TestFunction, t):
-    """Norm-box half-width and finest feature scale of P_t f (t=None: of f).
+def _geometry(f: TestFunction, Sigma):
+    """Grid frame L, norm-box half-width and finest feature scale of f * N(0, Sigma).
 
-    P_t f(X) = integral p(X, Y, t) f(Y) dY, and as a function of X the
-    kernel is Gaussian with center e^{-tB} Y and covariance 2 C(t). So each
-    Gaussian term e^{-<S(w-c), w-c>} of f becomes a Gaussian in X with
-    center e^{-tB} c and covariance e^{-tB} (2S)^{-1} e^{-tB'} + 2 C(t);
-    the box and the Gauss-Legendre resolution are read off this exact
-    geometry instead of operator-norm bounds.
+    A term e^{-<S(w-c), w-c>} of f becomes a Gaussian centred at c with
+    covariance (2S)^{-1} + Sigma (Sigma = 0: f itself).  The grid lies in
+    v = L^{-1} u, L the root of the mean term covariance, where the terms
+    are about round however elongated Sigma is (chains, non-normal drifts).
     """
-    if t is None:
-        push = np.eye(spec.dim)
-        spread = np.zeros((spec.dim, spec.dim))
-    else:
-        g = gramians(spec, t)
-        push = g.exp_minus_tB
-        spread = 2.0 * g.C_t
-    radius = 0.0
-    sigma_min = math.inf
-    for term in f.terms:
-        cov = push @ (0.5 * np.linalg.inv(term.shape)) @ push.T + spread
-        vals = np.linalg.eigvalsh(cov)
-        center = float(np.max(np.abs(push @ term.center)))
-        radius = max(radius, center + 6.0 * math.sqrt(float(vals[-1])))
-        sigma_min = min(sigma_min, math.sqrt(float(vals[0])))
-    return radius + 1.0, sigma_min
+    covs = [0.5 * np.linalg.inv(term.shape) + Sigma for term in f.terms]
+    w, V = np.linalg.eigh(sum(covs) / len(covs))
+    L, inv_L = (V * np.sqrt(w)) @ V.T, (V / np.sqrt(w)) @ V.T
+    # each term's covariance eigenvalues in v, ascending, and its centre's reach
+    spans = [np.linalg.eigvalsh(inv_L @ cov @ inv_L).tolist() for cov in covs]
+    centers = [float(np.max(np.abs(inv_L @ term.center))) for term in f.terms]
+    radius = max(c + 6.0 * math.sqrt(v[-1]) for c, v in zip(centers, spans))
+    return L, radius + 1.0, math.sqrt(min(v[0] for v in spans))
 
 
 def _adaptive_order(radius, sigma, dim):
@@ -639,68 +627,45 @@ def sup_norm(f, dim: int, radius: float, order: int | None = None) -> float:
     )
 
 
-def _gaussian_norms(spec, f, p, q, g):
-    """||f||_p and ||P_t f||_q of one Gaussian c exp(-<S(y - c0), y - c0>).
+def _gaussian_norms(f, p, q, Sigma):
+    """||f||_p and ||f * N(0, Sigma)||_q of one Gaussian c exp(-<S(y - c0), y - c0>).
 
     The integral of exp(-r <S w, w>) is (pi/r)^{N/2} det S^{-1/2}.  With
-    t = g.t, G = I + 2 Sigma S, Sigma = 2 t K(t) and half = log det G / 2,
-    P_t f is the Gaussian c e^{-half} exp(-<S'(X - e^{-tB} c0), X - e^{-tB} c0>),
-    S' = e^{tB'} S G^{-1} e^{tB}, whose log det S' is 2 t tr B +
-    log det S - 2 half; its sup is the peak |c| e^{-half}.
+    G = I + 2 Sigma S and half = log det G / 2 the convolution is the
+    Gaussian c e^{-half} exp(-<S'(u - c0), u - c0>), S' = S G^{-1}, whose
+    log det S' is log det S - 2 half.  An L^inf norm is the peak.
     """
-    term, t = f.terms[0], g.t
-    half = float(_convolution_det(2.0 * t * g.K_t, term.shape)[1])
+    term = f.terms[0]
+    half = float(_convolution_det(Sigma, term.shape)[1])
     logdet_S = float(np.linalg.slogdet(term.shape)[1])
 
     def log_norm(r, logdet):
-        return (0.5 * spec.dim * math.log(math.pi / r) - 0.5 * logdet) / r
+        return 0.0 if math.isinf(r) else (0.5 * f.dim * math.log(math.pi / r) - 0.5 * logdet) / r
 
     amp = abs(term.coeff)
-    norm_f = amp * math.exp(log_norm(p, logdet_S))
-    peak = amp * math.exp(-half)
-    if math.isinf(q):
-        return norm_f, peak
-    logdet_pushed = 2.0 * t * spec.trace_B + logdet_S - 2.0 * half
-    return norm_f, peak * math.exp(log_norm(q, logdet_pushed))
+    norm_conv = amp * math.exp(log_norm(q, logdet_S - 2.0 * half) - half)
+    return amp * math.exp(log_norm(p, logdet_S)), norm_conv
 
 
-def _grid_norms(spec, f, p, q, g):
-    """||f||_p and ||P_t f||_q, t = g.t, on grids sized by _pushed_geometry."""
-    t = g.t
-    # |f|^p is sqrt(p) times narrower than f, and |P_t f|^q than P_t f
-    rad_f, sig_f = _pushed_geometry(spec, f, None)
-    order_f = _adaptive_order(rad_f, sig_f / math.sqrt(p), spec.dim)
-    norm_f = lp_norm(f.value, p, spec.dim, rad_f, order=order_f)
-    # P_t f factored once; every grid block is one pass of _convolve
-    exp_tB, factors = _factored(spec, f, np.array([t]))
+def _grid_norm(func, r, f, Sigma):
+    """||func||_r on the grid of :func:`_geometry` in v, du = det L dv; the grid sup for r = inf."""
+    L, radius, sigma = _geometry(f, Sigma)
 
-    def func(pts):
-        return _convolve(factors, _matmul(pts, exp_tB[0].T)[None])[0]
+    def pulled(v):
+        return func(_matmul(v, L))
 
-    rad_p, sig_p = _pushed_geometry(spec, f, t)
-    if math.isinf(q):
-        return norm_f, sup_norm(func, spec.dim, rad_p)
-    order_p = _adaptive_order(rad_p, sig_p / math.sqrt(q), spec.dim)
-    return norm_f, lp_norm(func, q, spec.dim, rad_p, order=order_p)
+    if math.isinf(r):
+        return sup_norm(pulled, f.dim, radius)
+    # |func|^r is sqrt(r) times narrower than func
+    order = _adaptive_order(radius, sigma / math.sqrt(r), f.dim)
+    return math.exp(np.linalg.slogdet(L)[1] / r) * lp_norm(pulled, r, f.dim, radius, order=order)
 
 
-def _uc_sides(spec, f, p, q, t):
-    """lhs = ||P_t f||_q, the constant-free envelope V^{...} e^{...} ||f||_p
-    and the method that computed the norms.
-
-    A single degree-0 term (one Gaussian) takes the closed form of
-    :func:`_gaussian_norms` in any N; every other Schwartz function
-    takes the tensor grids of :func:`_grid_norms` (N <= 3).
-    """
-    if not f.is_schwartz:
-        raise DomainError("norms are defined for Schwartz-class functions only")
-    closed = len(f.terms) == 1 and f.degree == 0
-    g = gramians(spec, t)
-    norm_f, lhs = (_gaussian_norms if closed else _grid_norms)(spec, f, p, q, g)
-    vol = KernelConstants.for_dim(spec.dim).omega_N * math.exp(0.5 * g.logdet_tK)
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
-    envelope = vol ** -(1.0 / p - inv_q) * math.exp(-t * spec.trace_B * inv_q) * norm_f
-    return lhs, envelope, "closed-form" if closed else "grid"
+def _grid_norms(f, p, q, Sigma):
+    """||f||_p and ||f * N(0, Sigma)||_q, the convolution factored once for every block."""
+    factors = _convolution_factors(f, Sigma[None])
+    conv = _grid_norm(lambda pts: _convolve(factors, pts[None])[0], q, f, Sigma)
+    return _grid_norm(f.value, p, f, 0.0), conv
 
 
 def _beckner(inv_m):
@@ -720,49 +685,58 @@ def ultracontractivity_constant(dim: int, p: float, q: float) -> float:
         raise DomainError("need 1 <= p <= q")
     if p == q:
         return 1.0
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
     # 1/r = 1 - (1/p - 1/q), exactly 1/q at p = 1; the clamp absorbs the
     # rounding of p within ulps of q
-    inv_r = min(1.0 - 1.0 / p + inv_q, 1.0)
+    inv_r = min(1.0 - 1.0 / p + 1.0 / q, 1.0)
     r = 1.0 / inv_r if inv_r > 0.0 else math.inf
-    factor = _beckner(1.0 / p) * _beckner(inv_r) * _beckner(1.0 - inv_q)
+    factor = _beckner(1.0 / p) * _beckner(inv_r) * _beckner(1.0 - 1.0 / q)
     return factor**dim * lr_norm_constant(dim, r)
 
 
 def ultracontractivity_check(
-    spec: OperatorSpec,
-    f: TestFunction,
-    p: float,
-    q: float,
-    t,
+    spec: OperatorSpec, f: TestFunction, p: float, q: float, t
 ) -> UltracontractivityResult:
     """Check ||P_t f||_q <= C(N,p,q) V(t)^{-(1/p - 1/q)} e^{-t tr B / q} ||f||_p.
 
     C is the sharp :func:`ultracontractivity_constant`; a negative trace
     of B is legal but flagged, since the large-time decay claims exclude
-    it.  ``f`` must be a :class:`TestFunction` on R^N.  A single Gaussian
-    (one term of monomial degree 0) has both norms in closed form in any
-    N and ``method="closed-form"``; for q = inf the lhs is then the exact
-    peak of P_t f.  Any other Schwartz ``f`` takes tensor grids, N <= 3,
-    and ``method="grid"``; the ``tail_bound`` allowance is granted on
-    both routes.
+    it.  ``f`` must be a Schwartz :class:`TestFunction` on R^N; ``p`` and
+    ``q`` may be inf.  A single Gaussian (one term of monomial degree 0)
+    has both norms in closed form in any N (``method="closed-form"``, an
+    L^inf norm being the exact peak); any other ``f`` takes tensor grids,
+    N <= 3 (``method="grid"``), where an L^inf norm is a grid maximum, a
+    lower estimate that ``tail_bound`` does not cover.  ``passed`` is
+    decided without the drift factor e^{-t tr B / q} of both sides (see
+    the module docstring); a side past the float range raises DomainError.
     """
     t = _check_time(t)
     C = ultracontractivity_constant(spec.dim, p, q)
     _check_function(spec, f, TestFunction)
+    if not f.is_schwartz:
+        raise DomainError("norms are defined for Schwartz-class functions only")
     p, q = float(p), float(q)
-    lhs, envelope, method = _uc_sides(spec, f, p, q, t)
-    rhs = C * envelope
+    closed = len(f.terms) == 1 and f.degree == 0
+    g = gramians(spec, t)
+    norm_f, lhs = (_gaussian_norms if closed else _grid_norms)(f, p, q, 2.0 * t * g.K_t)
+    log_vol = math.log(KernelConstants.for_dim(spec.dim).omega_N) + 0.5 * g.logdet_tK
+    try:
+        rhs = C * math.exp(-(1.0 / p - 1.0 / q) * log_vol) * norm_f
+        drift = math.exp(-t * spec.trace_B / q)
+    except OverflowError:
+        raise DomainError("the smoothing bound exceeds the float range") from None
     # box truncation plus Gauss-Legendre resolution allowance on the lhs;
     # p = q with trace B = 0 sits exactly on the bound (mass conservation),
     # so the comparison must grant the quadrature its reported error
-    tail = 1e-8 * (abs(lhs) + abs(rhs))
+    passed = lhs <= rhs + 1e-8 * (abs(lhs) + abs(rhs))
+    lhs, rhs = lhs * drift, rhs * drift
+    if math.inf in (lhs, rhs):
+        raise DomainError("the smoothing bound exceeds the float range")
     return UltracontractivityResult(
         lhs=lhs,
         rhs=rhs,
-        passed=bool(lhs <= rhs + tail),
+        passed=bool(passed),
         constant=C,
         trace_b_negative=bool(spec.trace_B < 0),
-        tail_bound=tail,
-        method=method,
+        tail_bound=1e-8 * (abs(lhs) + abs(rhs)),
+        method="closed-form" if closed else "grid",
     )

@@ -294,14 +294,21 @@ def constant(c, dim):
     return TestFunction((GaussianTerm(c, np.zeros(dim), zero, (0,) * dim),))
 
 
+def _check_function(spec, f, kinds):
+    """Raise unless f is one of ``kinds`` on R^N."""
+    if not isinstance(f, kinds):
+        raise TypeError("unsupported function type %r" % type(f).__name__)
+    if f.dim != spec.dim:
+        raise ValueError("dimension mismatch between spec and f")
+
+
 def generator_apply(spec: OperatorSpec, f: TestFunction, Y):
     """Evaluate A f = tr(Q Hess f) + <B Y, grad f> pointwise.
 
     Exact for every member of the family (degree cap 4 applies to f, the
     result is only ever needed as values, never as a family member).
     """
-    if f.dim != spec.dim:
-        raise ValueError("dimension mismatch between spec and f")
+    _check_function(spec, f, TestFunction)
     Y = np.asarray(Y, dtype=float)
     hess = f.hessian(Y)
     grad = f.gradient(Y)
@@ -452,8 +459,7 @@ def exact_semigroup_oracle(spec: OperatorSpec, f: TestFunction, t, X, gradient=F
     Each call takes one engine pass and one factorisation of f, for any
     number of points.  A non-finite point raises DomainError.
     """
-    if f.dim != spec.dim:
-        raise ValueError("dimension mismatch between spec and f")
+    _check_function(spec, f, TestFunction)
     X = _points(X, spec.dim)
     exp_tB, factors = _factored(spec, f, np.array([_check_time(t)]))
     flat = X.reshape(-1, spec.dim)
@@ -470,8 +476,7 @@ def exact_semigroup_profile(spec: OperatorSpec, f: TestFunction, ts, X):
     ``ts`` for the time-integral transforms that sample hundreds of
     semigroup values at a fixed point.
     """
-    if f.dim != spec.dim:
-        raise ValueError("dimension mismatch between spec and f")
+    _check_function(spec, f, TestFunction)
     X = _point(np.atleast_1d(X), spec.dim)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     # min propagates a NaN, which fails the comparison

@@ -220,6 +220,17 @@ class TestVolume:
         limit = const.omega_N / 2.0 ** (2 / 2.0)
         assert volume(spec, 50.0) == pytest.approx(limit, rel=1e-10)
 
+    def test_past_the_float_range(self):
+        # det tK(t) = ((e^{2t} - 1) / 2)^3 for B = Q = I in 3-D: V(300) is
+        # about e^{898}, where math.exp raised OverflowError
+        expanding = OperatorSpec(np.eye(3), np.eye(3))
+        assert volume(expanding, 200.0) == pytest.approx(
+            KernelConstants.for_dim(3).omega_N * math.exp(3.0 * (200.0 - 0.5 * math.log(2.0))),
+            rel=1e-12,
+        )
+        with pytest.raises(DomainError):
+            volume(expanding, 300.0)
+
     def test_prefactor_identity(self):
         # c_N / V(t) = (4 pi t)^{-N/2} det(K(t))^{-1/2}
         for spec in PRESETS():

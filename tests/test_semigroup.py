@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
+import hypok.operator_core as operator_core_module
 import hypok.semigroup as semigroup_module
 import hypok.testfuncs as testfuncs_module
 from hypok.kernel import heat_kernel
@@ -885,8 +886,9 @@ class TestKernelLrNorm:
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_builds_no_gramian_bundle(self):
-        # only log det C(t) is read: no bundle is built or cached, and the
-        # value is the bundle formula's to the last bit
+        # only log det tK(t) is read: no bundle is built or cached, and the
+        # value is the log of c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r}, with
+        # omega_N cancelled, to the last bit
         _gramian_bundle.cache_clear()
         for spec in PRESETS() + (kolmogorov(2), CHAIN3):
             n = spec.dim
@@ -894,8 +896,9 @@ class TestKernelLrNorm:
                 got = kernel_lr_norm(spec, np.zeros(n), t, r)
                 assert _gramian_bundle.cache_info().currsize == 0
                 g = gramians(spec, t)
-                log_mass = n * math.log(2.0) + 0.5 * g.logdet_C + 0.5 * n * math.log(math.pi / r)
-                assert got == math.exp(g.log_norm_C + log_mass / r)
+                log_density = -0.5 * n * math.log(4.0 * math.pi) - 0.5 * g.logdet_tK
+                log_drift = (0.5 * n * math.log(r) + t * spec.trace_B) / r
+                assert got == math.exp((1.0 - 1.0 / r) * log_density - log_drift)
                 _gramian_bundle.cache_clear()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1024,6 +1027,53 @@ class TestUltracontractivity:
         with pytest.raises(ValueError, match="dimension mismatch between spec and f"):
             ultracontractivity_check(heat(2), f, 1.0, 2.0, 1.0)
 
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed-form", "grid"])
+    def test_sup_to_sup(self, closed):
+        # p = q = inf: lhs = sup |P_t f| <= rhs = ||f||_inf with C = 1; the
+        # closed route raised ValueError, the grid route ZeroDivisionError
+        spec, t = heat(2), 0.5
+        f = gaussian(np.zeros(2), np.eye(2), coeff=1.5)
+        if not closed:
+            f = f + gaussian(np.array([0.6, -0.4]), 0.4 * np.eye(2))
+        result = ultracontractivity_check(spec, f, math.inf, math.inf, t)
+        assert result.method == ("closed-form" if closed else "grid")
+        assert result.passed and result.constant == 1.0
+        assert result.lhs <= result.rhs
+        sup_f = optimised_sup(f.value, [term.center for term in f.terms])
+        sup_pushed = optimised_sup(pushed_oracle(spec, f, t), [term.center for term in f.terms])
+        if closed:
+            # P_t f = 1.5 (1 + 4t)^{-1} e^{-|X|^2 / (1 + 4t)} on heat(2)
+            assert result.rhs == 1.5
+            assert result.lhs == pytest.approx(0.5, rel=1e-14)
+        else:
+            # uniform-grid maxima, below the sups
+            assert sup_f * (1.0 - 1e-3) <= result.rhs <= sup_f * (1.0 + 1e-12)
+            assert sup_pushed * (1.0 - 1e-3) <= result.lhs <= sup_pushed * (1.0 + 1e-12)
+
+    def test_volume_past_the_float_range(self):
+        # V(240) of B = Q = I in 3-D is about e^{719}; the bound is formed
+        # from log V(t), where V(t) itself overflowed
+        spec = OperatorSpec(np.eye(3), np.eye(3))
+        result = ultracontractivity_check(spec, gaussian(np.zeros(3), np.eye(3)), 2.0, 4.0, 240.0)
+        assert result.passed
+        assert 0.0 <= result.lhs <= result.rhs < math.inf
+
+    def test_bound_past_the_float_range(self):
+        # V(1e-300) on heat(3) underflows to 0, where V^{-1} raised
+        # ZeroDivisionError; the bound (4 pi t)^{-3/2} ||f||_1 overflows
+        f = gaussian(np.zeros(3), np.eye(3))
+        with pytest.raises(DomainError):
+            ultracontractivity_check(heat(3), f, 1.0, math.inf, 1e-300)
+
+    @pytest.mark.parametrize("t, coeff", [(300.0, 1.0), (236.0, 10.0)])
+    def test_drift_factor_past_the_float_range(self, t, coeff):
+        # e^{-t tr B / q} on ornstein_uhlenbeck(3) is e^{900} at t = 300,
+        # which raised OverflowError; at t = 236 it is finite, but both sides
+        # times it, about 10 e^{708} ||e^{-|y|^2}||_1, are not
+        f = gaussian(np.zeros(3), np.eye(3), coeff=coeff)
+        with pytest.raises(DomainError):
+            ultracontractivity_check(ornstein_uhlenbeck(3), f, 1.0, 1.0, t)
+
     def test_constant_monotone_in_smoothing_gap(self):
         # more smoothing (larger q at fixed p) costs a smaller constant
         c_12 = ultracontractivity_constant(1, 1.0, 2.0)
@@ -1148,6 +1198,36 @@ def pushed_oracle(spec, f, t):
     return lambda pts: exact_semigroup_oracle(spec, f, t, pts)
 
 
+def optimised_sup(func, starts):
+    """Max of |func| over Nelder-Mead runs from each start point."""
+    def neg(x):
+        return -abs(float(func(x)))
+
+    opts = {"xatol": 1e-10, "fatol": 1e-15, "maxiter": 4000}
+    return max(-optimize.minimize(neg, x0, method="Nelder-Mead", options=opts).fun for x0 in starts)
+
+
+def pushed_geometry(spec, f, t):
+    """Norm-box half-width and finest feature scale of P_t f in X (t=None: of f).
+
+    As a function of X the kernel p(X, Y, t) is Gaussian with center
+    e^{-tB} Y and covariance 2 C(t), so each Gaussian term of f becomes a
+    Gaussian in X with center e^{-tB} c and covariance
+    e^{-tB} (2S)^{-1} e^{-tB'} + 2 C(t): a reference in X, independent of
+    the check's own geometry in the transition mean.
+    """
+    g = None if t is None else gramians(spec, t)
+    push = np.eye(spec.dim) if g is None else g.exp_minus_tB
+    spread = 0.0 if g is None else 2.0 * g.C_t
+    radius, sigma_min = 0.0, math.inf
+    for term in f.terms:
+        vals = np.linalg.eigvalsh(push @ (0.5 * np.linalg.inv(term.shape)) @ push.T + spread)
+        center = float(np.max(np.abs(push @ term.center)))
+        radius = max(radius, center + 6.0 * math.sqrt(float(vals[-1])))
+        sigma_min = min(sigma_min, math.sqrt(float(vals[0])))
+    return radius + 1.0, sigma_min
+
+
 GAUSSIAN_SPECS = pytest.mark.parametrize(
     "spec",
     [heat(2), kolmogorov(1), ornstein_uhlenbeck(2), heat(3)],
@@ -1161,7 +1241,7 @@ class TestUltracontractivityClosedForm:
     def test_matches_norm_grids(self, spec, p, q):
         # both norms on the tensor grids the grid route would build
         rng = np.random.default_rng([int(10 * p), int(10 * q), spec.dim])
-        geometry, order = semigroup_module._pushed_geometry, semigroup_module._adaptive_order
+        geometry, order = pushed_geometry, semigroup_module._adaptive_order
         n = spec.dim
         for _ in range(2):
             f = random_gaussian(rng, n)
@@ -1192,7 +1272,7 @@ class TestUltracontractivityClosedForm:
         top = gramians(spec, t).exp_minus_tB @ f.terms[0].center
         peak = abs(exact_semigroup_oracle(spec, f, t, top))
         assert result.lhs == pytest.approx(peak, rel=1e-14)
-        radius, _ = semigroup_module._pushed_geometry(spec, f, t)
+        radius, _ = pushed_geometry(spec, f, t)
         assert result.lhs >= sup_norm(pushed_oracle(spec, f, t), spec.dim, radius)
 
     def test_single_gaussian_in_four_dims(self):
@@ -1212,6 +1292,38 @@ class TestUltracontractivityClosedForm:
         assert result.method == "grid"
         assert result.passed
 
+    @pytest.mark.parametrize(
+        "spec, t",
+        [(CHAIN3, 4.6), (OperatorSpec(np.diag([1.0, 0.0]), [[-0.3, 0.0], [2.0, 0.4]]), 4.7)],
+        ids=["chain3", "non-normal"],
+    )
+    def test_elongated_grid_matches_the_l2_closed_form(self, spec, t):
+        # ||P_t f||_2^2 of a sum of Gaussians is a double sum of Gaussian
+        # integrals; Sigma = 2 t K(t) is elongated here (eigenvalue ratios
+        # 540 and 313), and a grid not laid along it misses this lhs: by
+        # 6e-5 in X on the chain, by 2e-5 in u on the non-normal drift
+        n = spec.dim
+        f = gaussian(np.full(n, 0.3), 1.1 * np.eye(n)) + gaussian(
+            np.full(n, -0.2), 0.4 * np.eye(n), coeff=0.7
+        )
+        Sigma = 2.0 * t * gramians(spec, t).K_t
+        parts = []
+        for term in f.terms:
+            G = np.eye(n) + 2.0 * Sigma @ term.shape
+            A = term.shape @ np.linalg.inv(G)
+            amp = term.coeff / math.sqrt(np.linalg.det(G))
+            parts.append((amp, 0.5 * (A + A.T), term.center))
+        square = sum(
+            a1 * a2 * math.pi ** (n / 2) / math.sqrt(np.linalg.det(A1 + A2))
+            * math.exp(-(c1 - c2) @ A1 @ np.linalg.solve(A1 + A2, A2 @ (c1 - c2)))
+            for a1, A1, c1 in parts
+            for a2, A2, c2 in parts
+        )
+        result = ultracontractivity_check(spec, f, 1.0, 2.0, t)
+        assert result.method == "grid"
+        want = math.exp(-0.5 * t * spec.trace_B) * math.sqrt(square)
+        assert result.lhs == pytest.approx(want, rel=1e-10)
+
     def test_polynomial_factor_takes_the_grid(self):
         f = gaussian(np.zeros(2), np.eye(2), monomial=(2, 0))
         result = ultracontractivity_check(heat(2), f, 1.0, 2.0, 0.7)
@@ -1229,12 +1341,48 @@ class TestUltracontractivityClosedForm:
             calls.append(f)
             return factors(f, Sigma)
 
-        monkeypatch.setattr(testfuncs_module, "_convolution_factors", counted)
+        monkeypatch.setattr(semigroup_module, "_convolution_factors", counted)
         f = gaussian(np.zeros(3), np.eye(3)) + gaussian(np.full(3, 0.2), 0.5 * np.eye(3))
         result = ultracontractivity_check(heat(3), f, 1.0, q, 0.6)
         assert result.method == "grid"
         assert result.passed
         assert calls == [f]
+
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    def test_grid_route_takes_one_engine_pass(self, monkeypatch, q):
+        # the bundle's pass serves both norms: P_t f is factored from its
+        # Sigma = 2 t K(t), with no second pass for e^{tB}
+        calls = []
+        engine = operator_core_module._block_gramians
+
+        def counted(spec, ts):
+            calls.append(ts)
+            return engine(spec, ts)
+
+        for module in (operator_core_module, testfuncs_module, semigroup_module):
+            monkeypatch.setattr(module, "_block_gramians", counted)
+        _gramian_bundle.cache_clear()
+        f = gaussian(np.zeros(2), np.eye(2)) + gaussian(np.full(2, 0.3), 0.5 * np.eye(2))
+        result = ultracontractivity_check(kolmogorov(1), f, 1.0, q, 0.731)
+        assert result.method == "grid"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "spec", [heat(2), kolmogorov(1), ornstein_uhlenbeck(2), CHAIN3],
+        ids=["heat2", "kolmogorov1", "ou2", "chain3"],
+    )
+    def test_grid_sup_is_below_the_optimised_sup(self, spec):
+        # the grid q = inf lhs is a uniform-grid maximum: never above the
+        # sup of P_t f that Nelder-Mead finds from every term centre
+        n = spec.dim
+        f = gaussian(np.full(n, 0.3), 1.2 * np.eye(n)) + gaussian(
+            np.full(n, -0.4), 0.5 * np.eye(n), coeff=0.8
+        )
+        for t in (0.3, 2.0):
+            result = ultracontractivity_check(spec, f, 1.0, math.inf, t)
+            assert result.method == "grid"
+            starts = [gramians(spec, t).exp_minus_tB @ term.center for term in f.terms]
+            assert result.lhs <= optimised_sup(pushed_oracle(spec, f, t), starts) * (1.0 + 1e-12)
 
     def test_cold_check_builds_no_convolution_factors(self, monkeypatch):
         # the closed route reads K(t) and log det tK(t) off one bundle and
@@ -1253,8 +1401,8 @@ class TestUltracontractivityClosedForm:
             return wrapper
 
         linalg_impl = _linalg_module()
-        monkeypatch.setattr(testfuncs_module, "_convolution_factors",
-                            counted("factors", testfuncs_module._convolution_factors))
+        monkeypatch.setattr(semigroup_module, "_convolution_factors",
+                            counted("factors", semigroup_module._convolution_factors))
         monkeypatch.setattr(linalg_impl, "svd", counted("svd", linalg_impl.svd))
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))

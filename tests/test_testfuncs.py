@@ -298,6 +298,20 @@ class TestExactSemigroupOracle:
         with pytest.raises(DomainError):
             exact_semigroup_profile(heat(2), f, [0.5, 1.0], X)
 
+    def test_entry_points_share_one_validator(self):
+        # a bump is rejected with TypeError (it was an AttributeError from
+        # f.terms), and a dimension mismatch with ValueError, by all three
+        calls = (
+            lambda f: exact_semigroup_oracle(heat(2), f, 0.5, np.zeros(2)),
+            lambda f: exact_semigroup_profile(heat(2), f, [0.5], np.zeros(2)),
+            lambda f: generator_apply(heat(2), f, np.zeros(2)),
+        )
+        for call in calls:
+            with pytest.raises(TypeError):
+                call(CompactBump(np.zeros(2), 0.5, 1.0))
+            with pytest.raises(ValueError, match="dimension mismatch between spec and f"):
+                call(gaussian(np.zeros(3), np.eye(3)))
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     def test_profile_rejects_bad_times(self, bad):
         f = gaussian(np.zeros(2), np.eye(2))

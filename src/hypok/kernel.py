@@ -12,9 +12,10 @@ function.  Both forms are computed on every call and compared in log
 space: the reported gap 1 - exp(-|log p_a - log p_b|) is the relative gap
 of the two values, and it stays readable where both values underflow to
 0.  This turns each evaluation into a self-check of the Gramian
-identities connecting K and C.  The prefactors and tr(Q C(t)^{-1}) are
-read from the memoised Gramian bundle, so a call at a known (spec, t)
-costs only its point arithmetic.
+identities connecting K and C.  The inverses, tr(Q C(t)^{-1}) and the
+prefactors are built once per (spec, t) from the Gramian bundle and kept
+in the kernel's own memo, ``_frame``, so a call at a known (spec, t)
+costs only its point arithmetic and makes no Gramian call.
 
 The time derivative of log p closes through d/dt log det C(t) =
 tr(Q C(t)^{-1}) - 2 tr B, and combining it with the spatial gradient
@@ -25,18 +26,21 @@ sides separately so the collapse is verified rather than assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operator_core import (
+    GRAMIAN_CACHE_SIZE,
     DomainError,
     KernelConstants,
     OperatorSpec,
     _check_time,
     _point,
     _points,
+    _read_only,
     gramians,
 )
 from .testfuncs import _quad_form
@@ -92,6 +96,33 @@ class LiYauKernelIdentity:
     rhs: float
 
 
+@dataclass(frozen=True, eq=False)
+class _KernelFrame:
+    """What the kernel reads at one time: e^{+-tB} and the inverses of K(t)
+    and C(t) (read-only), tr(Q C(t)^{-1}) and the log prefactors of both forms."""
+
+    exp_tB: np.ndarray
+    exp_minus_tB: np.ndarray
+    inv_K_t: np.ndarray
+    inv_C_t: np.ndarray
+    trace_Q_inv_C: float
+    log_norm_m: float
+    log_norm_C: float
+
+
+@functools.lru_cache(maxsize=GRAMIAN_CACHE_SIZE)
+def _frame(spec: OperatorSpec, t: float) -> _KernelFrame:
+    """The frame at a checked time t, built once per (spec, t) from one bundle."""
+    g = gramians(spec, t)
+    inv_C_t = _read_only(np.linalg.inv(g.C_t))
+    const = KernelConstants.for_dim(spec.dim)
+    # log(c_N / V(t)), and log of (4 pi)^{-N/2} e^{-t tr B} det(C(t))^{-1/2}
+    log_norm_m = math.log(const.c_N) - (math.log(const.omega_N) + 0.5 * g.logdet_tK)
+    log_norm_C = -0.5 * spec.dim * math.log(4.0 * math.pi) - t * spec.trace_B - 0.5 * g.logdet_C
+    return _KernelFrame(g.exp_tB, g.exp_minus_tB, _read_only(np.linalg.inv(g.K_t)), inv_C_t,
+                        float((spec.Q @ inv_C_t).trace()), log_norm_m, log_norm_C)
+
+
 def _rescaled_m_t(inv_K, d):
     """<K^{-1} d, d>^{1/2} from d scaled by its max |d|, for rows d != 0
     whose form overflowed (to +-inf, or to nan from inf - inf) or sank
@@ -109,7 +140,7 @@ def pseudo_distance(spec: OperatorSpec, X, Y, t) -> float:
     with K(t), e.g. for the pure heat preset.
     """
     t = _check_time(t, T_MIN)
-    g = gramians(spec, t)
+    g = _frame(spec, t)
     X = _point(X, spec.dim)
     Y = _points(Y, spec.dim)
     d = Y - g.exp_tB @ X
@@ -137,7 +168,7 @@ def volume(spec: OperatorSpec, t) -> float:
 def heat_kernel(spec: OperatorSpec, X, Y, t) -> KernelEval:
     """Evaluate the transition kernel p(X, Y, t) in both closed forms."""
     t = _check_time(t, T_MIN)
-    g = gramians(spec, t)
+    g = _frame(spec, t)
     X = _point(X, spec.dim)
     Y = _point(Y, spec.dim)
 
@@ -161,16 +192,21 @@ def heat_kernel(spec: OperatorSpec, X, Y, t) -> KernelEval:
     return KernelEval(value=math.exp(log_a), m_t=m_t, log_value=log_a, form_residual=residual)
 
 
-def pseudo_ball_contains(spec: OperatorSpec, X, r, t, Y) -> bool:
-    """Membership Y in B_t(X, r), the sublevel set m_t(X, .) < r."""
+def pseudo_ball_contains(spec: OperatorSpec, X, r, t, Y):
+    """Membership Y in B_t(X, r), the sublevel set m_t(X, .) < r.
+
+    A Python bool for one point ``Y``; a bool array over the leading axes
+    of a batch, as :func:`pseudo_distance` is vectorised.
+    """
     r = float(r)
     if not math.isfinite(r) or r <= 0.0:
         raise DomainError("radius must be positive")
-    return bool(pseudo_distance(spec, X, Y, t) < r)
+    # a float comparison is a Python bool, an array comparison a bool array
+    return pseudo_distance(spec, X, Y, t) < r
 
 
 def _log_derivative_parts(spec, g, X, Y):
-    """eta = C(t)^{-1} xi, <Q eta, eta>, <B X, eta> and d/dt log p from one bundle g."""
+    """eta = C(t)^{-1} xi, <Q eta, eta>, <B X, eta> and d/dt log p from one frame g."""
     eta = g.inv_C_t @ (X - g.exp_minus_tB @ Y)
     eta_Q_eta = float(eta @ (spec.Q @ eta))
     BX_eta = float((spec.B @ X) @ eta)
@@ -190,7 +226,7 @@ def kernel_log_derivatives(spec: OperatorSpec, X, Y, t) -> KernelLogDerivatives:
     Gramian ODE C' = Q - B C - C B'.
     """
     t = _check_time(t, T_MIN)
-    g = gramians(spec, t)
+    g = _frame(spec, t)
     X = _point(X, spec.dim)
     Y = _point(Y, spec.dim)
     eta, _, _, dt = _log_derivative_parts(spec, g, X, Y)
@@ -213,7 +249,7 @@ def liyau_kernel_identity(spec: OperatorSpec, X, Y, t, tau) -> LiYauKernelIdenti
     if not math.isfinite(s) or s <= 0.0:
         raise DomainError("need t > tau")
     s = _check_time(s, T_MIN)
-    g = gramians(spec, s)
+    g = _frame(spec, s)
     X = _point(X, spec.dim)
     Y = _point(Y, spec.dim)
     _, eta_Q_eta, BX_eta, dt = _log_derivative_parts(spec, g, X, Y)

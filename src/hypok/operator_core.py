@@ -40,7 +40,8 @@ Both routes end in the same check: ``DomainError`` at a time where
 ``e^{tB}`` is singular, or where ``t K(t)`` or ``C(t)`` is not positive
 definite with a finite log-determinant (overflow and NaN included).
 ``OperatorSpec`` compares and hashes by the content of ``(Q, B)``, which
-lets :func:`gramians` memoise one bundle per ``(spec, t)``.
+lets :func:`gramians` memoise one bundle per ``(spec, t)``; the kernel's
+inverses and prefactors are built and kept by ``hypok.kernel``.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ from typing import NamedTuple
 import numpy as np
 
 
-# Scale-invariant tolerances for symmetry / positive-definiteness decisions.
+# Scale-invariant tolerance for the symmetry of Q.
 TOL_SYM_REL = 1e-12
-TOL_PD_REL = 1e-10
 
 # Gramian bundles kept by gramians(), and specs whose block powers or
 # polynomial coefficients are kept; one entry is a few kB at N <= 4.
@@ -311,26 +311,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GramianBundle:
-    """All Gramian-derived quantities of one spec at one time.
+    """The Gramian engine's outputs for one spec at one time.
 
-    ``exp_tB``, ``exp_minus_tB``, ``K_t``, ``C_t``, ``logdet_tK`` and
-    ``logdet_C`` come from the engine with the bundle; every other field
-    is computed on first read and kept, so a caller pays only for what it
-    reads. Every array is read-only. The other fields are ``inv_K_t``,
-    ``inv_C_t`` and
-
-    * ``trace_Q_inv_C = tr(Q C(t)^{-1})``;
-    * ``log_norm_m = log c_N - (log omega_N + log det(t K(t)) / 2)``, the
-      log prefactor ``log(c_N / V(t))`` of the pseudo-distance form;
-    * ``log_norm_C = -N log(4 pi) / 2 - t tr B - log det C(t) / 2``, the log
-      prefactor of the drift-free-variable form;
-    * ``det_tK = exp(logdet_tK)``, which overflows to ``inf``, without a
-      warning, once ``logdet_tK`` passes about 709.78 (``OperatorSpec(I, I)``
-      at t = 200 in N = 2, say); ``logdet_tK`` stays finite and is what the
-      kernel reads.
+    ``exp_tB``, ``exp_minus_tB``, ``K_t`` and ``C_t`` are read-only
+    arrays; ``logdet_tK = log det(t K(t))`` and ``logdet_C = log det C(t)``
+    stay finite where the determinants themselves would overflow. What
+    the kernel derives from them (the inverses, ``tr(Q C(t)^{-1})`` and
+    the log prefactors) is kept by the kernel layer.
     """
 
-    spec: OperatorSpec = field(repr=False)
     t: float
     exp_tB: np.ndarray
     exp_minus_tB: np.ndarray
@@ -338,33 +327,6 @@ class GramianBundle:
     C_t: np.ndarray
     logdet_tK: float
     logdet_C: float
-
-    @functools.cached_property
-    def inv_K_t(self) -> np.ndarray:
-        return _read_only(np.linalg.inv(self.K_t))
-
-    @functools.cached_property
-    def inv_C_t(self) -> np.ndarray:
-        return _read_only(np.linalg.inv(self.C_t))
-
-    @functools.cached_property
-    def trace_Q_inv_C(self) -> float:
-        return float((self.spec.Q @ self.inv_C_t).trace())
-
-    @functools.cached_property
-    def log_norm_m(self) -> float:
-        const = KernelConstants.for_dim(self.spec.dim)
-        return math.log(const.c_N) - (math.log(const.omega_N) + 0.5 * self.logdet_tK)
-
-    @functools.cached_property
-    def log_norm_C(self) -> float:
-        n, t, trace_B = self.spec.dim, self.t, self.spec.trace_B
-        return -0.5 * n * math.log(4.0 * math.pi) - t * trace_B - 0.5 * self.logdet_C
-
-    @functools.cached_property
-    def det_tK(self) -> float:
-        with np.errstate(over="ignore"):  # may overflow to inf; logdet_tK is finite
-            return float(np.exp(self.logdet_tK))
 
 
 @functools.lru_cache(maxsize=GRAMIAN_CACHE_SIZE)
@@ -472,8 +434,9 @@ def gramians(spec: OperatorSpec, t: float) -> GramianBundle:
     (specs compare by content; times are never rounded, so times one ulp
     apart get separate bundles), every returned array is read-only, and at
     most ``GRAMIAN_CACHE_SIZE`` bundles are kept, least recently used first
-    out. The memo serves the kernel layer and the smoothing check; a
-    fresh-time ``P_t f`` and every time grid read the engine directly.
+    out. The memo serves the kernel's own memo, ``volume``, the smoothing
+    check and :func:`logdet_derivative_identity`; a fresh-time ``P_t f``
+    and every time grid read the engine directly.
     """
     return _gramian_bundle(spec, _check_time(t))
 
@@ -483,7 +446,7 @@ def _gramian_bundle(spec: OperatorSpec, t: float) -> GramianBundle:
     E11, E22T, C, tK, logdet_tK, logdet_C = _block_gramians(spec, np.array([t]))
     arrays = [_read_only(a[0]) for a in (E11, E22T, tK / t, C)]
     (logdet_tK,), (logdet_C,) = logdet_tK.tolist(), logdet_C.tolist()
-    return GramianBundle(spec, t, *arrays, logdet_tK, logdet_C)
+    return GramianBundle(t, *arrays, logdet_tK, logdet_C)
 
 
 @dataclass(frozen=True)
@@ -502,24 +465,33 @@ class HypoellipticityReport:
 def hypoellipticity_check(spec: OperatorSpec) -> HypoellipticityReport:
     """Two equivalent tests: lambda_min(K(1)) > 0 and the Kalman rank condition.
 
-    The rank test uses [Q^{1/2}, B Q^{1/2}, ..., B^{N-1} Q^{1/2}] with the
-    symmetric PSD root of Q. Both verdicts are reported; they must agree.
+    Both tests cut at 1e3 N eps relative to the largest value they see.
+    The spectral test asks lambda_min(K(1)) > 1e3 N eps lambda_max(K(1)).
+    The rank test counts the singular values of [Q, B Q, ..., B^{N-1} Q],
+    B scaled to unit norm, above 1e3 N eps times the largest: that matrix
+    spans what [Q^{1/2}, B Q^{1/2}, ...] spans, without a square root,
+    which would turn the eigenvalue rounding (about 1e-17) of a
+    rank-deficient Q into columns of about 1e-8. Both verdicts are
+    reported; they must agree. A pair whose lambda_min(K(1)) lies within
+    roundoff of 0, such as a chain of step 7 or more (1.05e-13 lambda_max
+    at step 7), reports ``hypoelliptic=False`` with ``agree=False``.
     """
     n = spec.dim
+    cut = 1e3 * n * math.ulp(1.0)
     # K(1) unchecked: a spec that is not hypoelliptic is reported, not raised
     E = _exp_grid(_block_powers(spec), np.ones(1))
     tK = E[:, :n, n:] @ np.swapaxes(E[:, :n, :n], -1, -2)
     K1 = 0.5 * (tK + np.swapaxes(tK, -1, -2))[0]
-    lam_min = float(np.linalg.eigvalsh(K1)[0])
-    tol_pd = TOL_PD_REL * max(float(np.linalg.norm(K1, 2)), 1e-300)
-    spectral = lam_min > tol_pd  # floats on both sides: a Python bool
+    w = np.linalg.eigvalsh(K1)
+    lam_min = float(w[0])
+    spectral = lam_min > cut * float(w[-1])  # floats on both sides: a Python bool
 
-    Qh = spec.sqrt_Q()
-    blocks = [Qh]
+    B = spec.B / (np.linalg.norm(spec.B, 1) or 1.0)
+    blocks = [spec.Q]
     for _ in range(n - 1):
-        blocks.append(spec.B @ blocks[-1])
-    kalman = np.hstack(blocks)
-    rank = int(np.linalg.matrix_rank(kalman))
+        blocks.append(B @ blocks[-1])
+    sv = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    rank = int(np.count_nonzero(sv > cut * sv[0]))
     rank_ok = rank == n
     return HypoellipticityReport(
         hypoelliptic=spectral and rank_ok,
@@ -541,10 +513,11 @@ def logdet_derivative_identity(spec: OperatorSpec, t: float) -> float:
     grow like e^{2t||B||} and an absolute residual would be pure roundoff.
     """
     g = gramians(spec, t)  # validates t
-    trQCinv = g.trace_Q_inv_C
+    inv_C = np.linalg.inv(g.C_t)
+    trQCinv = float((spec.Q @ inv_C).trace())
     EmB = g.exp_minus_tB
     lead = EmB @ spec.Q @ EmB.T  # C'(t)
-    ddt_logdetC = float((g.inv_C_t @ lead).trace())
+    ddt_logdetC = float((inv_C @ lead).trace())
     scalar_res = abs(trQCinv - ddt_logdetC - 2 * spec.trace_B) / (1.0 + abs(trQCinv))
 
     ode_res = np.linalg.norm(

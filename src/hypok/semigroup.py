@@ -538,20 +538,24 @@ def kernel_lr_norm(spec: OperatorSpec, Y, t, r) -> float:
     In the transition mean u = e^{tB} X the kernel is the density of
     N(Y - u; 0, 2 t K(t)), and dX = e^{-t tr B} du: the norm is c_{N,r}
     V(t)^{-(1-1/r)} e^{-t tr B / r}, taken in logs from log det(t K(t))
-    (one engine pass, no bundle), where omega_N cancels.  Independent of
-    Y by translation covariance.  A norm past the largest float raises
-    DomainError; one below the smallest subnormal rounds to 0.0, and
-    subnormal ones lose digits.
+    (one engine pass, no bundle), where omega_N cancels.  ``r = inf``
+    gives the peak density (4 pi)^{-N/2} det(t K(t))^{-1/2}, which has no
+    drift factor.  Independent of Y by translation covariance.  A norm
+    past the largest float raises DomainError; one below the smallest
+    subnormal rounds to 0.0, and subnormal ones lose digits.
     """
     t = _check_time(t)
     r = float(r)
-    if not math.isfinite(r) or r < 1.0:
-        raise DomainError("r must satisfy r >= 1")
+    if not r >= 1.0:
+        raise DomainError("r must satisfy 1 <= r <= inf (NaN is rejected)")
     _point(Y, spec.dim)
     (logdet_tK,) = _block_gramians(spec, np.array([t]))[4].tolist()
     n = spec.dim
     log_density = -0.5 * n * math.log(4.0 * math.pi) - 0.5 * logdet_tK
-    log_value = (1.0 - 1.0 / r) * log_density - (0.5 * n * math.log(r) + t * spec.trace_B) / r
+    if r == math.inf:  # the peak density, the limit 1/r = 0, with no drift factor
+        log_value = log_density
+    else:
+        log_value = (1.0 - 1.0 / r) * log_density - (0.5 * n * math.log(r) + t * spec.trace_B) / r
     try:
         return math.exp(log_value)
     except OverflowError:

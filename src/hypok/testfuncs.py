@@ -80,7 +80,8 @@ class GaussianTerm:
         shape = np.asarray(self.shape, dtype=float)
         if shape.shape != (n, n):
             raise ValueError("shape matrix must be %dx%d" % (n, n))
-        if not np.all(np.isfinite(shape)) or not np.all(np.isfinite(center)):
+        coeff = float(self.coeff)
+        if not (math.isfinite(coeff) and np.isfinite(shape).all() and np.isfinite(center).all()):
             raise ValueError("term data must be finite")
         scale = max(np.linalg.norm(shape, 2), 1.0)
         if np.linalg.norm(shape - shape.T, 2) > 1e-12 * scale:
@@ -97,7 +98,7 @@ class GaussianTerm:
             raise UnsupportedDegreeError(
                 "monomial degree %d exceeds cap %d" % (sum(monomial), MAX_EVAL_DEGREE)
             )
-        object.__setattr__(self, "coeff", float(self.coeff))
+        object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "monomial", monomial)
@@ -503,6 +504,8 @@ class CompactBump:
         center = _as_vector(self.center)
         r_in = float(self.inner_radius)
         r_out = float(self.outer_radius)
+        if not (np.all(np.isfinite(center)) and math.isfinite(r_out)):
+            raise ValueError("bump data must be finite")
         if not (0 < r_in < r_out):
             raise ValueError("need 0 < inner_radius < outer_radius")
         object.__setattr__(self, "center", center)

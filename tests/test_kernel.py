@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import hypok.kernel as kernel_module
+import hypok.operator_core as operator_core_module
 from hypok.kernel import (
+    _frame,
     heat_kernel,
     kernel_log_derivatives,
     liyau_kernel_identity,
@@ -82,18 +85,19 @@ def _per_call_kernel(spec, X, Y, t):
     """value, m_t, log_value and p_b of heat_kernel, everything derived per call.
 
     The prefactors come from KernelConstants and the bundle's
-    log-determinants in the library's grouping of the operations, so the
-    library, which reads them precomputed from the bundle, must agree bit
-    for bit.
+    log-determinants in the library's grouping of the operations, and the
+    inverses from the bundle's Gramians, so the library, which reads them
+    precomputed from its own memo, must agree bit for bit.
     """
     g = gramians(spec, t)
+    inv_K_t, inv_C_t = np.linalg.inv(g.K_t), np.linalg.inv(g.C_t)
     const = KernelConstants.for_dim(spec.dim)
     d = Y - g.exp_tB @ X
-    q = float(np.clip(d @ (g.inv_K_t @ d), 0.0, None))
+    q = float(np.clip(d @ (inv_K_t @ d), 0.0, None))
     log_V = math.log(const.omega_N) + 0.5 * g.logdet_tK
     log_a = math.log(const.c_N) - log_V - q / (4.0 * t)
     xi = X - g.exp_minus_tB @ Y
-    qc = float(xi @ (g.inv_C_t @ xi))
+    qc = float(xi @ (inv_C_t @ xi))
     log_b = (
         -0.5 * spec.dim * math.log(4.0 * math.pi)
         - t * spec.trace_B
@@ -106,8 +110,9 @@ def _per_call_kernel(spec, X, Y, t):
 def _per_call_derivatives(spec, X, Y, t, tau=0.0):
     """grad_X, dt and the Li-Yau (lhs, rhs) at gap t - tau, composed per call."""
     g = gramians(spec, t - tau)
-    eta = g.inv_C_t @ (X - g.exp_minus_tB @ Y)
-    trace_qc = float(np.trace(spec.Q @ g.inv_C_t))
+    inv_C_t = np.linalg.inv(g.C_t)
+    eta = inv_C_t @ (X - g.exp_minus_tB @ Y)
+    trace_qc = float(np.trace(spec.Q @ inv_C_t))
     dt = (
         -0.5 * trace_qc
         + 0.25 * float(eta @ (spec.Q @ eta))
@@ -122,7 +127,7 @@ def _kernel_values_batch_X(spec, Xs, Y, t):
     """Vectorised p(X_i, Y, t) through the drift-free-variable form."""
     g = gramians(spec, t)
     xi = Xs - g.exp_minus_tB @ np.asarray(Y, dtype=float)
-    q = np.einsum("...i,ij,...j->...", xi, g.inv_C_t, xi)
+    q = np.einsum("...i,ij,...j->...", xi, np.linalg.inv(g.C_t), xi)
     log_p = (
         -0.5 * spec.dim * math.log(4.0 * math.pi)
         - t * spec.trace_B
@@ -238,9 +243,50 @@ class TestVolume:
             for t in (0.2, 1.0, 3.0):
                 g = gramians(spec, t)
                 lhs = const.c_N / volume(spec, t)
-                det_K = g.det_tK / t**spec.dim
+                det_K = math.exp(g.logdet_tK) / t**spec.dim
                 rhs = (4.0 * math.pi * t) ** (-spec.dim / 2.0) / math.sqrt(det_K)
                 assert lhs == pytest.approx(rhs, rel=1e-11)
+
+
+class TestKernelMemo:
+    """The kernel's per-(spec, t) memo: one Gramian call and two inverses per
+    miss, none per hit."""
+
+    CALLS = {
+        "pseudo_distance": lambda spec, t: pseudo_distance(
+            spec, np.zeros(spec.dim), np.ones((3, spec.dim)), t),
+        "heat_kernel": lambda spec, t: heat_kernel(spec, np.zeros(spec.dim), np.ones(spec.dim), t),
+        "kernel_log_derivatives": lambda spec, t: kernel_log_derivatives(
+            spec, np.zeros(spec.dim), np.ones(spec.dim), t),
+        "liyau_kernel_identity": lambda spec, t: liyau_kernel_identity(
+            spec, np.zeros(spec.dim), np.ones(spec.dim), t + 0.5, 0.5),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_hit_makes_no_gramian_call(self, call, monkeypatch):
+        spec, t = CHAIN3, 0.61
+        self.CALLS[call](spec, t)  # a miss at most
+        calls = []
+        for module, name in ((kernel_module, "gramians"),
+                             (operator_core_module, "_block_gramians")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append("inv") or inv(a))
+        self.CALLS[call](spec, t)
+        assert calls == []
+        _frame.cache_clear()
+        self.CALLS[call](spec, t)
+        assert calls == ["gramians", "inv", "inv"]  # the bundle is still memoised
+
+    def test_fresh_volume_computes_no_inverse(self, monkeypatch):
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a) or inv(a))
+        for spec in PRESETS() + (CHAIN3,):
+            volume(spec, 0.123456789)
+        assert calls == []
 
 
 class TestHeatKernel:
@@ -418,6 +464,19 @@ class TestPseudoBall:
         with pytest.raises(DomainError):
             pseudo_ball_contains(heat(2), np.zeros(2), 0.0, 1.0, np.zeros(2))
 
+    def test_batch_matches_per_point_loop(self):
+        # pseudo_distance takes a batch of Y, and so does the ball
+        rng = np.random.default_rng(59)
+        for spec in PRESETS() + (CHAIN3,):
+            X = rng.normal(size=spec.dim)
+            Y = rng.normal(size=(4, 5, spec.dim))
+            for r in (0.5, 1.5, 4.0):
+                got = pseudo_ball_contains(spec, X, r, 0.8, Y)
+                assert got.dtype == bool and got.shape == (4, 5)
+                want = [[pseudo_ball_contains(spec, X, r, 0.8, y) for y in row] for row in Y]
+                assert {type(v) for row in want for v in row} == {bool}
+                assert got.tolist() == want
+
 
 class TestKernelLogDerivatives:
     def test_gradient_zero_on_ridge(self):
@@ -499,7 +558,7 @@ class TestLiYauKernelIdentity:
             der = kernel_log_derivatives(spec, X, Y, 0.5)
             grad = der.grad_X
             lhs = float(grad @ (spec.Q @ grad)) + float((spec.B @ X) @ grad) - der.dt
-            rhs = 0.5 * float(np.trace(spec.Q @ gramians(spec, 0.5).inv_C_t))
+            rhs = 0.5 * float(np.trace(spec.Q @ np.linalg.inv(gramians(spec, 0.5).C_t)))
             assert out.lhs == lhs
             assert out.rhs == rhs
 

@@ -1,5 +1,7 @@
 """Gramian, exponential and hypoellipticity checks for the operator layer."""
 
+import dataclasses
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -22,6 +24,7 @@ from hypok.operator_core import (
     _exp_grid,
     _gramian_bundle,
     _polynomial_gramians,
+    GramianBundle,
     KernelConstants,
     OperatorSpec,
     gramians,
@@ -34,7 +37,7 @@ from hypok.operator_core import (
     sym_sqrt,
 )
 from hypok import operator_core
-from hypok.kernel import heat_kernel
+from hypok.kernel import _frame, heat_kernel
 from hypok.semigroup import apply_poisson, kernel_lr_norm, ultracontractivity_check
 
 # the step-3 chain: diffusion in the first coordinate, transported down a chain
@@ -147,7 +150,7 @@ class TestGramians:
         g = gramians(kolmogorov(1), t)
         expected = np.array([[t, t**2 / 2], [t**2 / 2, t**3 / 3]])
         assert_allclose(t * g.K_t, expected, rtol=1e-12)
-        assert_allclose(g.det_tK, t**4 / 12, rtol=1e-11)
+        assert_allclose(math.exp(g.logdet_tK), t**4 / 12, rtol=1e-11)
 
     @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
     def test_ou_scalar_closed_form(self, t):
@@ -176,13 +179,12 @@ class TestGramians:
         with pytest.raises(DomainError):
             gramians(heat(2), t)
 
-    def test_det_tK_overflows_to_inf_quietly(self):
-        # logdet_tK = 798.6 at t = 200: exp overflows, and used to warn
+    def test_logdet_tK_past_the_float_range(self):
+        # logdet_tK = 798.6 at t = 200, where det(t K(t)) itself overflows
         _gramian_bundle.cache_clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             g = gramians(OperatorSpec(np.eye(2), np.eye(2)), 200.0)
-        assert g.det_tK == math.inf
         assert g.logdet_tK == pytest.approx(2 * (400.0 - math.log(2.0)), rel=1e-12)
 
     def test_singular_gramian_rejected(self):
@@ -198,24 +200,26 @@ class TestGramians:
         lhs = t * g.K_t
         rhs = g.exp_tB @ g.C_t @ g.exp_tB.T
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-12 * np.linalg.norm(lhs, 2)
+        det_tK = math.exp(g.logdet_tK)
         assert_allclose(
-            np.log(g.det_tK), 2 * t * spec.trace_B + g.logdet_C, rtol=1e-12, atol=1e-12
+            np.log(det_tK), 2 * t * spec.trace_B + g.logdet_C, rtol=1e-12, atol=1e-12
         )
 
     @pytest.mark.parametrize("spec", PRESET_SPECS + [CHAIN3], ids=lambda s: f"{s.name}{s.dim}")
     def test_kernel_scalars(self, spec):
         const = KernelConstants.for_dim(spec.dim)
         for t in (0.05, 0.9, 7.0):
-            g = gramians(spec, t)
+            # the kernel's memo against its formulas from the bundle's Gramians
+            g, frame = gramians(spec, t), _frame(spec, t)
             trace = np.trace(spec.Q @ np.linalg.inv(g.C_t))
-            assert g.trace_Q_inv_C == pytest.approx(trace, rel=1e-12)
-            volume = const.omega_N * math.sqrt(g.det_tK)
-            assert g.log_norm_m == pytest.approx(math.log(const.c_N / volume), abs=1e-12)
+            assert frame.trace_Q_inv_C == pytest.approx(trace, rel=1e-12)
+            volume = const.omega_N * math.sqrt(math.exp(g.logdet_tK))
+            assert frame.log_norm_m == pytest.approx(math.log(const.c_N / volume), abs=1e-12)
             log_norm_C = math.log(
                 (4 * math.pi) ** (-spec.dim / 2) * math.exp(-t * spec.trace_B)
                 / math.sqrt(np.linalg.det(g.C_t))
             )
-            assert g.log_norm_C == pytest.approx(log_norm_C, abs=1e-10)
+            assert frame.log_norm_C == pytest.approx(log_norm_C, abs=1e-10)
 
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_exp_minus_tB_closed_forms(self, t):
@@ -553,6 +557,11 @@ class TestGramianProperties:
         assert abs(g.logdet_tK - 2 * t * spec.trace_B - g.logdet_C) <= tol
 
 
+def _chain(step):
+    """Diffusion in the first coordinate, transported down a chain of length step."""
+    return OperatorSpec(np.diag([1.0] + [0.0] * (step - 1)), np.eye(step, k=-1))
+
+
 class TestHypoellipticity:
     def test_kolmogorov_true(self):
         rep = hypoellipticity_check(kolmogorov(1))
@@ -589,6 +598,50 @@ class TestHypoellipticity:
             rep = hypoellipticity_check(spec)
             assert rep.agree, f"tests disagree on {spec.name}: {rep}"
 
+
+    @pytest.mark.parametrize("step", [2, 3, 4, 5, 6])
+    def test_chains_are_hypoelliptic(self, step):
+        # lambda_min(K(1)) / lambda_max is 6.0e-11 at step 6, below the old
+        # fixed cut 1e-10
+        rep = hypoellipticity_check(_chain(step))
+        assert rep.hypoelliptic and rep.agree and rep.kalman_rank == step
+
+    def test_chain_within_roundoff_is_flagged(self):
+        # at step 7 lambda_min(K(1)) is 1.05e-13 lambda_max: within roundoff
+        rep = hypoellipticity_check(_chain(7))
+        assert rep.kalman_test and not rep.spectral_test and not rep.agree
+
+    def test_degenerate_suite_false(self):
+        specs = [
+            OperatorSpec(np.diag([1.0, 0.0]), np.zeros((2, 2))),
+            OperatorSpec(np.diag([0.0, 1.0]), np.zeros((2, 2))),
+            OperatorSpec(np.zeros((2, 2)), np.eye(2)),
+            OperatorSpec(np.diag([1.0, 0.0, 0.0]),
+                         np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])),
+        ]
+        for spec in specs:
+            rep = hypoellipticity_check(spec)
+            assert not rep.hypoelliptic and rep.agree, rep
+
+    def test_rotated_reducible_pairs(self):
+        # B leaves the span of the first m coordinates invariant and Q lives
+        # there, both conjugated by a random rotation: a square root of the
+        # rotated Q made 1382 of 2000 such pairs report kalman_rank = N
+        rng = np.random.default_rng(2020)
+        for _ in range(500):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(1, n))
+            B = rng.normal(size=(n, n))
+            B[m:, :m] = 0.0
+            R = rng.normal(size=(m, m))
+            Q = np.zeros((n, n))
+            Q[:m, :m] = R @ R.T
+            U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            B = U @ B @ U.T
+            B *= rng.uniform(0.1, 3.0) / max(np.linalg.norm(B, 2), 1.0)
+            Q = U @ Q @ U.T
+            rep = hypoellipticity_check(OperatorSpec(0.5 * (Q + Q.T), B))
+            assert rep.kalman_rank < n and not rep.hypoelliptic and rep.agree, rep
 
     @pytest.mark.parametrize("spec", [kolmogorov(1), OperatorSpec(np.diag([1.0, 0.0]), np.zeros((2, 2)))],
                              ids=["hypoelliptic", "degenerate"])
@@ -674,6 +727,7 @@ class TestSpecValueSemantics:
 class TestGramianMemo:
     def setup_method(self):
         _gramian_bundle.cache_clear()
+        _frame.cache_clear()
 
     def test_equal_specs_share_one_entry(self):
         a = gramians(kolmogorov(1), 0.7)
@@ -699,21 +753,27 @@ class TestGramianMemo:
 
     def test_arrays_are_read_only(self):
         g = gramians(ornstein_uhlenbeck(2), 1.3)
+        frame = _frame(ornstein_uhlenbeck(2), 1.3)
         for name in ("exp_tB", "exp_minus_tB", "K_t", "C_t", "inv_K_t", "inv_C_t"):
             with pytest.raises(ValueError):
-                getattr(g, name)[0, 0] = 1.0
+                getattr(frame if name.startswith("inv") else g, name)[0, 0] = 1.0
 
     def test_rebuilt_bundle_is_bit_identical(self):
         spec = OperatorSpec(np.diag([1.0, 0.0, 0.0]), np.eye(3, k=-1))
-        cached = gramians(spec, 0.9)
+        cached = gramians(spec, 0.9), _frame(spec, 0.9)
         _gramian_bundle.cache_clear()
-        fresh = gramians(spec, 0.9)
-        assert fresh is not cached
+        _frame.cache_clear()
+        fresh = gramians(spec, 0.9), _frame(spec, 0.9)
+        assert fresh[0] is not cached[0] and fresh[1] is not cached[1]
+
+        def read(pair, name):
+            # the bundle's engine fields, else the kernel's derived ones
+            return getattr(pair[0], name) if hasattr(pair[0], name) else getattr(pair[1], name)
+
         for name in ("exp_tB", "exp_minus_tB", "K_t", "C_t", "inv_K_t", "inv_C_t"):
-            assert np.array_equal(getattr(fresh, name), getattr(cached, name))
-        for name in ("t", "det_tK", "logdet_tK", "logdet_C", "trace_Q_inv_C",
-                     "log_norm_m", "log_norm_C"):
-            assert getattr(fresh, name) == getattr(cached, name)
+            assert np.array_equal(read(fresh, name), read(cached, name))
+        for name in ("t", "logdet_tK", "logdet_C", "trace_Q_inv_C", "log_norm_m", "log_norm_C"):
+            assert read(fresh, name) == read(cached, name)
 
     def test_size_is_bounded(self):
         spec = heat(1)
@@ -725,19 +785,17 @@ class TestGramianMemo:
 
 
 def _eager_bundle(spec, t):
-    """Every bundle field by the formulas of a bundle computed in full at
-    construction, in the same operand order."""
+    """Every field of the bundle and of the kernel's memo by the formulas of
+    a bundle computed in full at construction, in the same operand order."""
     E11, E22T, C, tK, logdet_tK, logdet_C = _block_gramians(spec, np.array([t]))
     K = tK / t
     inv_K_t, inv_C_t = np.linalg.inv(np.concatenate((K, C)))
     n = spec.dim
     const = KernelConstants.for_dim(n)
     (logdet_tK,), (logdet_C,) = logdet_tK.tolist(), logdet_C.tolist()
-    with np.errstate(over="ignore"):
-        det_tK = float(np.exp(logdet_tK))
     return dict(
         t=t, exp_tB=E11[0], exp_minus_tB=E22T[0], K_t=K[0], C_t=C[0],
-        inv_K_t=inv_K_t, inv_C_t=inv_C_t, det_tK=det_tK,
+        inv_K_t=inv_K_t, inv_C_t=inv_C_t,
         logdet_tK=logdet_tK, logdet_C=logdet_C,
         trace_Q_inv_C=float((spec.Q @ inv_C_t).trace()),
         log_norm_m=math.log(const.c_N) - (math.log(const.omega_N) + 0.5 * logdet_tK),
@@ -745,13 +803,24 @@ def _eager_bundle(spec, t):
     )
 
 
-LAZY_FIELDS = ("inv_K_t", "inv_C_t", "trace_Q_inv_C", "log_norm_m", "log_norm_C", "det_tK")
+BUNDLE_FIELDS = ("t", "exp_tB", "exp_minus_tB", "K_t", "C_t", "logdet_tK", "logdet_C")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLazyBundle:
+    """The plain bundle and the kernel's memo ``_frame`` against one eager
+    construction: the engine fields on the bundle, the derived ones (the
+    inverses, tr(Q C^{-1}) and the log prefactors) on the kernel's memo."""
+
     def setup_method(self):
         _gramian_bundle.cache_clear()
+        _frame.cache_clear()
+
+    def test_bundle_holds_the_engine_fields_only(self):
+        g = gramians(kolmogorov(1), 0.7)
+        assert tuple(f.name for f in dataclasses.fields(g)) == BUNDLE_FIELDS
+        lazy = [v for v in vars(GramianBundle).values() if isinstance(v, functools.cached_property)]
+        assert lazy == []
 
     @pytest.mark.parametrize("spec", PRESET_SPECS + [CHAIN3], ids=lambda s: f"{s.name}{s.dim}")
     def test_fields_match_eager_formulas_bit_for_bit(self, spec):
@@ -761,24 +830,23 @@ class TestLazyBundle:
             except DomainError:
                 with pytest.raises(DomainError):
                     gramians(spec, t)
+                with pytest.raises(DomainError):
+                    _frame(spec, t)
                 continue
-            g = gramians(spec, t)
+            g, frame = gramians(spec, t), _frame(spec, t)
             for name, value in want.items():
-                got = getattr(g, name)
+                got = getattr(g if name in BUNDLE_FIELDS else frame, name)
                 if isinstance(value, np.ndarray):
                     assert np.array_equal(got, value), (name, t)
                 else:
                     assert got == value, (name, t)
 
-    def test_det_tK_overflows_quietly_on_first_read(self):
-        g = gramians(OperatorSpec(np.eye(2), np.eye(2)), 200.0)
-        assert "det_tK" not in vars(g) and g.det_tK == math.inf
-
     def test_derived_arrays_are_read_only_and_kept(self):
-        g = gramians(kolmogorov(2), 0.8)
+        frame = _frame(kolmogorov(2), 0.8)
+        assert _frame(kolmogorov(2), 0.8) is frame
         for name in ("inv_K_t", "inv_C_t"):
-            first = getattr(g, name)
-            assert getattr(g, name) is first
+            first = getattr(frame, name)
+            assert getattr(frame, name) is first
             with pytest.raises(ValueError):
                 first[0, 0] = 1.0
 
@@ -791,10 +859,10 @@ class TestLazyBundle:
         g = gramians(spec, 0.6)
         g.K_t, g.logdet_tK, g.exp_tB, g.C_t, g.logdet_C
         assert calls == []
-        assert not set(LAZY_FIELDS) & set(vars(g))
-        g.trace_Q_inv_C
-        assert len(calls) == 1 and "inv_K_t" not in vars(g)
-        g.inv_K_t, g.inv_C_t
+        # the kernel's memo inverts K(t) and C(t) once, on its miss
+        _frame(spec, 0.6)
+        assert len(calls) == 2
+        _frame(spec, 0.6)
         assert len(calls) == 2
 
 

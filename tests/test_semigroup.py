@@ -15,7 +15,7 @@ from scipy import integrate, optimize, special, stats
 import hypok.operator_core as operator_core_module
 import hypok.semigroup as semigroup_module
 import hypok.testfuncs as testfuncs_module
-from hypok.kernel import heat_kernel
+from hypok.kernel import heat_kernel, volume
 from hypok.operator_core import (
     DomainError,
     KernelConstants,
@@ -138,7 +138,7 @@ def kernel_vals(spec, X, Ys, t):
     """p(X, Y_i, t) through the drift-free-variable closed form."""
     g = gramians(spec, t)
     xi = np.asarray(X, float) - Ys @ g.exp_minus_tB.T
-    q = np.einsum("...i,ij,...j->...", xi, g.inv_C_t, xi)
+    q = np.einsum("...i,ij,...j->...", xi, np.linalg.inv(g.C_t), xi)
     log_p = (
         -0.5 * spec.dim * math.log(4.0 * math.pi)
         - t * spec.trace_B
@@ -922,6 +922,22 @@ class TestKernelLrNorm:
     def test_rejects_r_below_one(self):
         with pytest.raises(DomainError):
             kernel_lr_norm(heat(1), np.zeros(1), 1.0, 0.5)
+
+    @pytest.mark.parametrize("r", [0.5, -math.inf, math.nan])
+    def test_rejects_r_below_one_and_nan_saying_so(self, r):
+        with pytest.raises(DomainError, match=r"1 <= r <= inf \(NaN is rejected\)"):
+            kernel_lr_norm(heat(2), np.zeros(2), 1.0, r)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_r_inf_is_the_peak_density(self):
+        # 1/r = 0: (4 pi)^{-N/2} det(t K(t))^{-1/2}, with no drift factor
+        specs = [heat(1), heat(2), heat(3), kolmogorov(1), kolmogorov(2),
+                 ornstein_uhlenbeck(1), ornstein_uhlenbeck(2), ornstein_uhlenbeck(3), CHAIN3]
+        for spec in specs:
+            for t in (0.05, 0.9, 7.0):
+                got = kernel_lr_norm(spec, np.zeros(spec.dim), t, math.inf)
+                want = lr_norm_constant(spec.dim, math.inf) / volume(spec, t)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "dim, r", [(2, 0.5), (2, 0.0), (2, math.nan), (2, -math.inf), (0, 2.0), (-1, 2.0)]

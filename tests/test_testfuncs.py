@@ -1,6 +1,7 @@
 """Tests for the Gaussian-polynomial family and its closed-form P_t oracle."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -132,6 +133,20 @@ class TestEvaluation:
     def test_indefinite_shape_rejected(self):
         with pytest.raises(ValueError):
             gaussian(np.zeros(2), np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        # a NaN coefficient gave NaN values and a failed smoothing check
+        with pytest.raises(ValueError, match="term data must be finite"):
+            gaussian(np.zeros(2), np.eye(2), coeff=coeff)
+
+    @pytest.mark.parametrize("scalar", [math.inf, math.nan])
+    def test_non_finite_multiple_rejected(self, scalar):
+        f = gaussian(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="term data must be finite"):
+            scalar * f
+        with pytest.raises(ValueError, match="term data must be finite"):
+            f * 1e300 * 1e300  # the product overflows to inf
 
 
 def random_function(rng, dim, n_terms, allow_flat=False, max_degree=4):
@@ -396,6 +411,14 @@ class TestCompactBump:
     def test_bad_radii_rejected(self):
         with pytest.raises(ValueError):
             CompactBump(np.zeros(2), 2.0, 1.0)
+
+    @pytest.mark.parametrize("center, outer", [([math.nan, 0.0], 1.0), ([0.0, math.inf], 1.0),
+                                               (0.0, math.inf)], ids=["nan-centre", "inf-centre",
+                                                                      "inf-radius"])
+    def test_non_finite_data_rejected(self, center, outer):
+        # an infinite outer radius made a "bump" equal to 1 everywhere
+        with pytest.raises(ValueError, match="bump data must be finite"):
+            CompactBump(center, 0.5, outer)
 
     def test_matches_power_form_over_radial_sweep(self):
         center = np.array([0.3, -0.2, 0.1])

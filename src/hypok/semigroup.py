@@ -3,31 +3,17 @@
 P_t acts on the Gaussian-polynomial family in closed form: the
 transition density is exactly Gaussian, so P_t f and its gradient are
 the Gaussian convolutions of ``testfuncs.exact_semigroup_oracle``.
-Compactly supported profiles, which have no closed form, go to a
-counter-based Monte Carlo fallback that reports its standard error;
-its draws are generated once per (N, sample count, seed) and shared by
-every call, so the values along a Poisson time grid use common random
-numbers.  A bump is radial, so its sampled points are never built:
-each replicate of the draw set is sorted by radius |w| and holds, next
-to the draws, the products w_i w_j of its coordinates and the sorted
-radii.  The radius |A w + m| lies between sigma_min |w| - |m| and
-sigma_max |w| + |m|, so two searches in the sorted radii certify the
-samples a time node sends exactly to 1 (plateau) or 0 (exterior), and
-only the slice of uncertain samples between them is evaluated.  Their
-squared radii for a block of ``MC_NODE_BLOCK`` times come from one small
-matrix product per replicate.  Only a ModulatedBump builds the points,
-for its Gaussian-polynomial factor, and it takes only the exterior
-cut.  The Poisson
-semigroup is subordinated to P_t with the time axis split at t = z^2
-and mapped onto (0, 1] on each side, so both the flat short-time end
-and the algebraic long-time decay are analytic in the quadrature
-variable.
-A Poisson call builds its whole time grid first and takes one pass of
-the Gramian engine for it: the closed form is batched over the grid,
-and a compact profile takes its Monte Carlo means for the whole grid in
-one pass over node blocks, from the batched means e^{tB} X and sampling
-factors (2 tK(t))^{1/2}.  Single-time calls, like Poisson grids, leave
-the per-time (spec, t) Gramian memo untouched.
+Compactly supported profiles, which have no closed form, take a
+randomised spherical-radial rule (Deak 1980, Numer. Math. 35; Genz and
+Monahan 1998, SIAM J. Sci. Comput. 19): E f(mu + A w) with w = rho theta
+is exact along each ray to roundoff, and only the directions theta are
+random, Philox-seeded rotations of one fixed design shared by every call.
+The Poisson semigroup is subordinated to P_t with the time axis split at
+t = z^2 and mapped onto (0, 1] on each side, so both the flat short-time
+end and the algebraic long-time decay are analytic in the quadrature
+variable; a call takes one engine pass for its whole time grid.
+Single-time calls, like Poisson grids, leave the per-time (spec, t)
+Gramian memo untouched.
 
 The L^p -> L^q smoothing check works in the transition mean u = e^{tB} X:
 there P_t f is f * N(0, Sigma), Sigma = 2 t K(t), and dX = e^{-t tr B} du,
@@ -41,9 +27,8 @@ Every tensor grid (Gauss-Legendre and uniform, for the norms) is summed
 in C-order blocks of at most ``GRID_BLOCK`` points, so no full grid is
 ever held in memory.  Blocks hold 8192 points, so a coordinate array
 (64 KB) stays below glibc's default 128 KB mmap threshold and its
-temporaries are reused from the heap.  A Monte Carlo call allocates its
-two node-block buffers (256 KB each at the default 8192 draws per
-replicate) once and reuses them for every block.
+temporaries are reused from the heap.  A ray call holds at most
+``RAY_BLOCK`` ray panels of ``RAY_NODES`` nodes per temporary.
 
 Kernel L^r norms over the first kernel slot are Gaussian integrals in
 closed form, value = c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r} with
@@ -60,6 +45,7 @@ Gaussian kernels have only Gaussian maximisers (Lieb 1990, Invent. Math.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -108,18 +94,14 @@ __all__ = [
 ]
 
 MC_REPLICATES = 8
-# Monte Carlo draw sets kept by _mc_draw_set; at the default mc_samples
-# one holds 2^16 * (N + N (N + 1) / 2 + 1) floats (3.1 MB for N = 2)
-MC_DRAWS_CACHE_SIZE = 8
-# time nodes whose squared radii one matrix product gives; a block of
-# the default 8192 draws per replicate is then a 256 KB buffer
-MC_NODE_BLOCK = 4
-# relative slack of the radius bounds that certify plateau and exterior
-# samples in _mc_means.  At a certified exterior sample the squared
-# radius exceeds r_out^2 by at least (slack U)^2, U = sigma_max |w| + |m|,
-# while the expanded form rounds it by about N^2 eps U^2: the square of
-# the slack, not the slack, must clear the rounding
-MC_CERT_SLACK = 1e-6
+# rays per replicate at N = 2, equally spaced; N = 1 takes its two
+# half-lines, N >= 3 the 2 N^2 rays +-e_i and (+-e_i +-e_j) / sqrt(2)
+PLANE_RAYS = 32
+# Gauss-Legendre nodes per ray panel, and the longest panel in the
+# whitened radius: the chi_N density is then resolved to roundoff
+RAY_NODES, RAY_PANEL = 12, 2.0
+# (time node, ray) pairs per block, and panels per chunk, of _mc_means
+RAY_BLOCK = 2048
 # points per block of a tensor grid; bounds the memory of every grid sum.
 # One coordinate or value array of a block is then 64 KB, below glibc's
 # default 128 KB mmap threshold, so the temporaries of each block are
@@ -129,40 +111,26 @@ GRID_BLOCK = 1 << 13
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Sampling and time-quadrature resolution of the Monte Carlo values
-    and of :func:`apply_poisson`; the smoothing check needs neither.
+    """Direction seed of the compact-profile values and time resolution of
+    :func:`apply_poisson`; the smoothing check needs neither.
 
-    Monte Carlo draws ``MC_REPLICATES * max(mc_samples // MC_REPLICATES,
-    512)`` standard normal points, so ``mc_samples=1024`` draws 4096.
-    The draw set is built once per ``(dim, mc_samples, rng_seed)`` and
-    shared by every call, whatever its time, point or function: values
-    at different times use common random numbers.  Each replicate is
-    sorted by radius |w|, and the set keeps the products w_i w_j (i <= j)
-    and the sorted radii next to the draws, ``N + N (N + 1) / 2 + 1``
-    floats per sample: 6 rows x 65 536 floats = 3.1 MB at N = 2 with the
-    default ``mc_samples``, where the draws alone take 1 MB.  Bump values
-    are read off squared radii, one matrix product per replicate for
-    each block of ``MC_NODE_BLOCK`` time nodes, and only for the samples
-    that the radius certificate of ``_mc_means`` leaves uncertain: the
-    others lie certainly in the plateau (value 1) or beyond the outer
-    radius (value 0).
-
-    :func:`apply_poisson` splits its time axis in two halves of
-    ``time_nodes // 2`` Gauss-Legendre nodes each, so a call evaluates
-    the semigroup at ``2 * (time_nodes // 2) + 1`` times, one of them at
-    the time cap (``time_nodes // 2 + 1`` when z^2 lies past the cap),
-    all from one engine pass.
+    ``rng_seed``, an integer in [0, 2^64), orients the rays of the
+    compact-profile rule (:func:`_directions`), the same for every call.
+    ``time_nodes``, an integer >= 80, is the Gauss-Legendre node count of
+    :func:`apply_poisson`, ``time_nodes // 2`` on each side of its split.
     """
 
     time_nodes: int = 200
-    mc_samples: int = 2**16
     rng_seed: int = 20260822
 
     def __post_init__(self):
-        if self.mc_samples < 1024:
-            raise ValueError("mc_samples must be at least 1024")
-        if self.time_nodes < 80:
-            raise ValueError("time_nodes must be at least 80")
+        for name, low, high in (("time_nodes", 80, math.inf), ("rng_seed", 0, 2**64 - 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError("%s must be an integer" % name)
+            if not low <= value <= high:
+                raise ValueError("%s must lie in [%s, %s]" % (name, low, high))
+            object.__setattr__(self, name, int(value))
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -170,7 +138,8 @@ DEFAULT_QUAD = QuadratureSpec()
 
 @dataclass(frozen=True)
 class SemigroupValue:
-    """One semigroup application with its sampling error, if stochastic."""
+    """One semigroup application; ``stderr`` is the standard error of a
+    randomised rule (method ``"monte-carlo"``), 0 for the closed form."""
 
     value: float
     stderr: float
@@ -208,6 +177,24 @@ def _rule(rule, order):
     nodes, weights = rule(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
+    return nodes, weights
+
+
+@lru_cache(maxsize=None)
+def _legendre(order):
+    """Gauss-Legendre nodes and weights, Newton-polished in long double:
+    numpy's rule misses its low moments by up to a few ulps, of one sign
+    at some orders, which a mean over many ray panels turns into a bias."""
+    x = np.polynomial.legendre.leggauss(order)[0].astype(np.longdouble)
+    for _ in range(3):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, order + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        slope = order * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / slope
+    nodes, weights = x.astype(float), (2 / ((1 - x * x) * slope**2)).astype(float)
+    for a in (nodes, weights):
+        a.setflags(write=False)
     return nodes, weights
 
 
@@ -263,131 +250,144 @@ def _grid_blocks(rule, order, dim, scale=1.0):
         yield block, block_w
 
 
-@lru_cache(maxsize=None)
-def _pairs(dim):
-    """Index pairs i <= j of the product rows and their weight in w'M w."""
-    i, j = np.triu_indices(dim)
-    # an off-diagonal product stands for both w_i w_j and w_j w_i
-    weight = np.where(i == j, 1.0, 2.0)
-    for a in (i, j, weight):
-        a.setflags(write=False)
-    return i, j, weight
-
-
-@lru_cache(maxsize=MC_DRAWS_CACHE_SIZE)
-def _mc_draw_set(dim, mc_samples, rng_seed):
-    """Read-only rows (MC_REPLICATES, dim + dim (dim + 1) / 2 + 1, per) of draws.
-
-    Replicate i holds the standard normal stream of Philox(key=[rng_seed,
-    i]), drawn as (per, dim) and sorted by radius |w|.  Its first ``dim``
-    rows are the sorted draws transposed, so each coordinate is a row and
-    elementwise work on the points runs along the long axis.  The next
-    rows are the products w_i w_j (i <= j, in ``np.triu_indices`` order),
-    so a squared radius |A w + m|^2 is one linear combination of the rows
-    plus |m|^2.  The last row holds the ascending radii |w|, which
-    :func:`_mc_means` searches for the samples a bump certainly sends to
-    1 or 0.  At the default mc_samples a set is 3.1 MB for N = 2, 7.9 MB
-    for N = 4.
-    """
-    per = max(mc_samples // MC_REPLICATES, 512)
-    i, j, _ = _pairs(dim)
-    rows = np.empty((MC_REPLICATES, dim + i.size + 1, per))
-    for k in range(MC_REPLICATES):
-        rng = np.random.Generator(np.random.Philox(key=[rng_seed, k]))
-        w = rng.standard_normal(size=(per, dim))
-        radii = np.linalg.norm(w, axis=1)
-        order = np.argsort(radii, kind="stable")
-        rows[k, :dim] = w[order].T
-        np.multiply(rows[k, i], rows[k, j], out=rows[k, dim:-1])
-        rows[k, -1] = radii[order]
-    rows.setflags(write=False)
-    return rows
-
-
 def _check_input(spec, f, X, kinds):
     """X as a float point of R^N, once f is one of ``kinds`` on R^N."""
     _check_function(spec, f, kinds)
     return _point(X, spec.dim)
 
 
-def _mc_means(f, mus, roots, quad):
-    """Replicate means (K, MC_REPLICATES) of f(mu_k + A_k W), k < K.
-
-    W runs over the shared draw set of ``quad``; each A_k is symmetric.
-    The bump is radial, so its values need only the squared radius
-    |A w + m|^2 with m = mu - center, which is w'(A'A) w + 2 (A'm)'w +
-    |m|^2: linear in the rows of the draw set.  Since |A w + m| lies
-    between sigma_min |w| - |m| and sigma_max |w| + |m| (sigma: the
-    |eigenvalues| of A_k), two searches in the sorted radii give each
-    node's count ``lo`` of samples certainly in the plateau and first
-    sample ``hi`` certainly outside (the bounds widened by
-    ``MC_CERT_SLACK``).  A block of MC_NODE_BLOCK nodes evaluates only
-    the column slice [min lo, max hi), one small matrix product per
-    replicate into the reused buffers, and counts the min lo samples
-    before it as 1.  Only a ModulatedBump builds the points, for its
-    Gaussian-polynomial factor; its plateau values vary, so it takes
-    only the exterior cut.
-    """
-    n = mus.shape[1]
-    rows = _mc_draw_set(n, quad.mc_samples, quad.rng_seed)
-    per = rows.shape[2]
-    bump, factor = (f.bump, f.f) if isinstance(f, ModulatedBump) else (f, None)
-    m = mus - bump.center
-    M = np.swapaxes(roots, -1, -2) @ roots
-    i, j, weight = _pairs(n)
-    # row k: 2 (A_k' m_k)' and the weighted entries of A_k' A_k
-    coef = np.concatenate([2.0 * (m[:, None, :] @ roots)[:, 0], weight * M[:, i, j]], axis=1)
-    shift = np.sum(m * m, axis=1, keepdims=True)
-    K = mus.shape[0]
-
-    # radius bounds (sig_lo |w| - reach, sig_hi |w| + reach), each widened
-    # by MC_CERT_SLACK (sigma_max |w| + |m|); a NaN bound certifies nothing
-    sig = np.abs(np.linalg.eigvalsh(roots))
-    sig_max = sig.max(axis=1)
-    sig_hi = (1.0 + MC_CERT_SLACK) * sig_max
-    sig_lo = sig.min(axis=1) - MC_CERT_SLACK * sig_max
-    reach = (1.0 + MC_CERT_SLACK) * np.sqrt(shift[:, 0])
-    room = bump.inner_radius - reach
-    rho_in = np.full(K, -1.0)
-    if factor is None:
-        np.divide(room, sig_hi, out=rho_in, where=room > 0.0)
-    rho_out = np.divide(
-        bump.outer_radius + reach, sig_lo, out=np.full(K, np.inf), where=sig_lo > 0.0
-    )
-
-    means = np.empty((K, MC_REPLICATES))
-    size = min(K, MC_NODE_BLOCK) * per
-    r2, vals = np.empty(size), np.empty(size)
-    # per replicate and block: the samples before start are plateau
-    # samples of every node, those from stop on exterior samples of every node
-    lo = np.array([np.searchsorted(radii, rho_in, side="right") for radii in rows[:, -1]])
-    hi = np.array([np.searchsorted(radii, rho_out, side="left") for radii in rows[:, -1]])
-    firsts = np.arange(0, K, MC_NODE_BLOCK)
-    starts = np.minimum.reduceat(lo, firsts, axis=1).tolist()
-    stops = np.maximum.reduceat(hi, firsts, axis=1).tolist()
+@lru_cache(maxsize=8)
+def _directions(dim, rng_seed):
+    """Read-only unit rays (MC_REPLICATES * L, dim), replicate i in rows i L to (i + 1) L:
+    the design of PLANE_RAYS turned by the sign-fixed Q of the QR of a
+    standard normal (dim, dim) draw of Philox(key=[rng_seed, i]), a Haar
+    rotation, so each ray is uniform on the sphere."""
+    if dim == 2:
+        angle = (2.0 * math.pi / PLANE_RAYS) * np.arange(PLANE_RAYS)
+        design = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    else:
+        eye, (i, j) = np.eye(dim), np.triu_indices(dim, 1)
+        design = np.concatenate([eye, (eye[i] + eye[j]) / 2**0.5, (eye[i] - eye[j]) / 2**0.5])
+        design = np.concatenate([design, -design])
+    out = np.empty((MC_REPLICATES,) + design.shape)
     for rep in range(MC_REPLICATES):
-        draws = rows[rep]
-        for first, start, stop in zip(firsts.tolist(), starts[rep], stops[rep]):
-            blk = slice(first, min(first + MC_NODE_BLOCK, K))
-            out = means[blk, rep]
-            if start == stop:
-                out[...] = start
-                continue
-            shape = (blk.stop - first, stop - start)
-            b_r2 = r2[: shape[0] * shape[1]].reshape(shape)
-            b_vals = vals[: b_r2.size].reshape(shape)
-            np.matmul(coef[blk], draws[:-1, start:stop], out=b_r2)
-            b_r2 += shift[blk]
-            bump.profile(b_r2, out=b_vals)
+        # uint64 words: a list holding a seed >= 2^63 would pass floats
+        rng = np.random.Generator(np.random.Philox(key=np.array([rng_seed, rep], dtype=np.uint64)))
+        q, r = np.linalg.qr(rng.standard_normal(size=(dim, dim)))
+        out[rep] = design @ (q * np.sign(np.diag(r))).T
+    out = out.reshape(-1, dim)
+    out.setflags(write=False)
+    return out
+
+
+def _chi_tail(dim, rho):
+    """P(|w| > rho), w ~ N(0, I_dim), rho >= 0: with x = rho^2 / 2 the sum of
+    x^j e^{-x} / Gamma(j + 1) over j = 0, 1, ... < dim / 2 (even dim), or
+    over j = 1/2, 3/2, ... < dim / 2 plus erfc(sqrt x) (odd dim)."""
+    x = 0.5 * rho * rho
+    j = 0.5 * (dim % 2)
+    term = np.exp(-x) * np.sqrt(x) ** (2.0 * j) / math.gamma(j + 1.0)
+    erfc = [math.erfc(v) for v in np.sqrt(x).ravel().tolist()] if dim % 2 else None
+    total = np.reshape(erfc, x.shape) if dim % 2 else 0.0
+    while j < 0.5 * dim:
+        total = total + term
+        j += 1.0
+        term = term * x / j
+    return total
+
+
+@lru_cache(maxsize=None)
+def _chi_cap(dim):
+    """Radius past which the chi_dim tail is below 2^-60, by bisection."""
+    lo, hi = 0.0, 64.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _chi_tail(dim, np.array(mid)) > 2.0**-60 else (lo, mid)
+    return hi
+
+
+def _ball_span(a, b, d):
+    """Whether a rho^2 + 2 b rho + d <= 0 somewhere on rho >= 0, and the ends
+    [lo, hi] of that stretch, each root in its cancellation-free form."""
+    disc = b * b - a * d
+    hit = (d <= 0.0) | ((b < 0.0) & (disc >= 0.0))
+    s = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return hit, np.where(d > 0.0, d / (s - b), 0.0), np.where(b > 0.0, -d / (s + b), (s - b) / a)
+
+
+def _mc_means(f, mus, roots, quad):
+    """Replicate means (K, MC_REPLICATES) of E f(mu_k + A_k w), w ~ N(0, I).
+
+    With w = rho theta, rho ~ chi_N and theta on the rays of
+    :func:`_directions`, |m + rho A theta|^2 (m = mu - center) is a
+    quadratic in rho whose crossings of r_in^2 and r_out^2, capped at
+    :func:`_chi_cap`, cut rho >= 0 into a plateau between two transition
+    stretches (split at the vertex when the ray misses the plateau).  A
+    plain bump's plateau is an exact chi_N increment; every other stretch
+    takes Gauss-Legendre panels, a ModulatedBump's factor at the nodes.
+    """
+    K, n = mus.shape
+    bump, factor = (f.bump, f.f) if isinstance(f, ModulatedBump) else (f, None)
+    dirs = _directions(n, quad.rng_seed)
+    rays, cap = dirs.shape[0], _chi_cap(n)
+    x, w = _legendre(RAY_NODES)
+    log_norm = (0.5 * n - 1.0) * math.log(2.0) + math.lgamma(0.5 * n)
+    sums = np.empty((K, rays))
+    step = max(RAY_BLOCK // rays, 1)
+    for first in range(0, K, step):
+        blk = slice(first, min(first + step, K))
+        m = mus[blk] - bump.center
+        V = dirs @ roots[blk]  # rows (A theta)', A symmetric
+        a = np.einsum("krn,krn->kr", V, V)
+        b = (V @ m[:, :, None])[..., 0]
+        c0 = np.einsum("kn,kn->k", m, m)[:, None]
+        hit, e0, e3 = _ball_span(a, b, c0 - bump.outer_radius**2)
+        e0 = np.where(hit, np.minimum(e0, cap), 0.0)
+        e3 = np.where(hit, np.fmax(np.fmin(e3, cap), e0), e0)
+        hit, e1, e2 = _ball_span(a, b, c0 - bump.inner_radius**2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = np.fmax(np.fmin(-b / a, e3), e0)
+            # the squared radius vanishes only at complex rho at least r_in /
+            # |A theta| from a transition stretch: panels twice that long
+            edge = np.minimum(2.0 * bump.inner_radius / np.sqrt(a), RAY_PANEL)
+        e1 = np.where(hit, np.fmin(np.fmax(e1, e0), e3), vertex)
+        e2 = np.where(hit, np.fmax(np.fmin(e2, e3), e1), vertex)
+        if factor is None:
+            acc = _chi_tail(n, e1) - _chi_tail(n, e2)
+            lo, hi, panel = np.stack([e0, e2]), np.stack([e1, e3]), np.stack([edge, edge])
+        else:
+            # a factor term e^{-<S(y - c), y - c>} narrows e^{-rho^2/2} to
+            # e^{-(1/2 + v'Sv) rho^2} along the ray v = A theta
+            curv = max(np.einsum("krn,nm,krm->kr", V, term.shape, V) for term in factor.terms)
+            inner = RAY_PANEL / np.sqrt(1.0 + 2.0 * curv)
+            acc = np.zeros(a.shape)
+            lo, hi = np.stack([e0, e1, e2]), np.stack([e1, e2, e3])
+            panel = np.stack([np.minimum(edge, inner), inner, np.minimum(edge, inner)])
+        # stretch s of the flattened (stretch, node, ray) order owns the
+        # count[s] equal panels before ends[s], on the (node, ray) pair
+        # s % a.size; panels are built chunk by chunk, so a long stretch
+        # cut into many panels takes no more memory
+        length, lo = (hi - lo).ravel(), lo.ravel()
+        count = np.ceil(length / panel.ravel()).astype(np.intp)
+        ends = np.cumsum(count)
+        flat_acc, flat_V = acc.reshape(-1), V.reshape(-1, n)
+        for c in range(0, int(ends[-1]), RAY_BLOCK):
+            p = np.arange(c, min(c + RAY_BLOCK, int(ends[-1])))
+            s = np.searchsorted(ends, p, side="right")
+            o, half = s % a.size, 0.5 * length[s] / count[s]
+            rho = (lo[s] + (2 * (p - ends[s] + count[s]) + 1) * half)[:, None] + half[:, None] * x
+            q = (a.reshape(-1)[o, None] * rho + 2.0 * b.reshape(-1)[o, None]) * rho + c0[o // rays]
+            vals = bump.profile(q) * np.exp(-0.5 * rho * rho - log_norm)
+            if n > 1:
+                vals *= rho ** (n - 1)
             if factor is not None:
-                Y = roots[blk] @ draws[:n, start:stop]
-                Y += mus[blk, :, None]
-                # (nodes, samples, N) views, column-major like the grid blocks
-                b_vals *= factor.value(np.swapaxes(Y, 1, 2))
-            np.add.reduce(b_vals, axis=1, out=out)
-            out += start
-    means /= per
-    return means
+                Y = rho[:, :, None] * flat_V[o][:, None, :]
+                Y += mus[blk][o // rays][:, None, :]
+                vals *= factor.value(Y)
+            flat_acc += np.bincount(o, weights=(vals @ w) * half, minlength=flat_acc.size)
+        sums[blk] = acc
+    return sums.reshape(K, MC_REPLICATES, -1).mean(axis=2)
 
 
 def apply_semigroup_report(
@@ -396,10 +396,10 @@ def apply_semigroup_report(
     """P_t f(X) with method and sampling-error bookkeeping.
 
     Gaussian-polynomial functions are convolved in closed form (method
-    ``"closed-form"``, stderr 0); compact profiles fall back to
-    replicated Monte Carlo on the shared draw set of ``quad`` (see
-    :class:`QuadratureSpec`), with the replicate spread reported as a
-    standard error.
+    ``"closed-form"``, stderr 0).  Compact profiles take the randomised
+    spherical-radial rule of :func:`_mc_means` (method ``"monte-carlo"``):
+    the mean over MC_REPLICATES rotations of its rays, and their standard
+    error as stderr (0 at N = 1, where the two half-lines are exact).
     """
     t = _check_time(t)
     X = _check_input(spec, f, X, (TestFunction, CompactBump, ModulatedBump))

@@ -4,6 +4,7 @@ import math
 import sys
 import warnings
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -43,8 +44,7 @@ from hypok.semigroup import (
     sup_norm,
     ultracontractivity_check,
     ultracontractivity_constant,
-    _mc_draw_set,
-    _mc_means,
+    _directions,
 )
 from hypok.testfuncs import (
     CompactBump,
@@ -149,42 +149,110 @@ def kernel_vals(spec, X, Ys, t):
 
 
 def bump_reference(spec, bump, t, X, order=220):
-    """P_t bump(X) by Gauss-Legendre against the kernel over the support."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    r = bump.outer_radius
-    xs = [bump.center[i] + r * nodes for i in range(spec.dim)]
-    grids = np.meshgrid(*xs, indexing="ij")
+    """P_t bump(X) by Gauss-Legendre against the kernel over the support.
+
+    Each axis is split at +-r_in about the centre, where the profile of
+    N = 1 has its kinks, into three pieces of order / 3 nodes.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order // 3)
+    cuts = [-bump.outer_radius, -bump.inner_radius, bump.inner_radius, bump.outer_radius]
+    axis_nodes = np.concatenate([0.5 * (b - a) * (nodes + 1.0) + a for a, b in zip(cuts, cuts[1:])])
+    axis_weights = np.concatenate([0.5 * (b - a) * weights for a, b in zip(cuts, cuts[1:])])
+    grids = np.meshgrid(*[bump.center[i] + axis_nodes for i in range(spec.dim)], indexing="ij")
     Ys = np.stack([g.ravel() for g in grids], axis=-1)
-    w = np.ones(Ys.shape[0])
-    for axis in range(spec.dim):
-        w = w * r * weights[np.searchsorted(xs[axis], Ys[:, axis])]
+    w = reduce(np.multiply.outer, [axis_weights] * spec.dim).ravel()
     return float(w @ (kernel_vals(spec, X, Ys, t) * bump.value(Ys)))
 
 
-def mc_loop_reference(spec, f, t, X, quad=DEFAULT_QUAD):
-    """The Monte Carlo estimator with fresh row-major draws per replicate."""
-    g = gramians(spec, t)
-    mu = g.exp_tB @ X
-    A = math.sqrt(2.0 * t) * sym_sqrt(g.K_t)
-    per = max(quad.mc_samples // MC_REPLICATES, 512)
-    means = np.empty(MC_REPLICATES)
+def rotated_design(dim, seed):
+    """The ray rule rebuilt: (MC_REPLICATES, L, dim) rotations of its design.
+
+    N = 1 takes +-1, N = 2 32 equally spaced angles, N >= 3 the directions
+    +-e_i and (+-e_i +-e_j) / sqrt(2); replicate i turns the design by the
+    sign-fixed QR factor of the standard normal (dim, dim) draw of
+    Philox(key=[seed, i]).
+    """
+    eye = np.eye(dim)
+    if dim == 2:
+        angle = 2.0 * math.pi * np.arange(32) / 32
+        design = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    else:
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        half = list(eye) + [(eye[i] + sign * eye[j]) / math.sqrt(2.0)
+                            for sign in (1.0, -1.0) for i, j in pairs]
+        design = np.array(half + [-d for d in half])
+    out = []
     for i in range(MC_REPLICATES):
-        rng = np.random.Generator(np.random.Philox(key=[quad.rng_seed, i]))
-        draws = rng.standard_normal(size=(per, spec.dim))
-        means[i] = float(np.mean(f.value(mu + draws @ A.T)))
-    return float(np.mean(means)), float(np.std(means, ddof=1) / math.sqrt(MC_REPLICATES))
+        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+        q, r = np.linalg.qr(rng.standard_normal(size=(dim, dim)))
+        out.append(design @ (q * np.sign(np.diag(r))).T)
+    return np.array(out)
 
 
-def mc_means_every_sample(f, mus, roots, quad):
-    """Replicate means of f(mu_k + A_k w), every sample of the draw set evaluated."""
-    n = mus.shape[1]
-    rows = _mc_draw_set(n, quad.mc_samples, quad.rng_seed)
-    means = np.empty((mus.shape[0], MC_REPLICATES))
-    for k in range(mus.shape[0]):
-        for rep in range(MC_REPLICATES):
-            Y = mus[k] + (roots[k] @ rows[rep, :n]).T
-            means[k, rep] = np.mean(f.value(Y))
-    return means
+def sphere_rule(dim, order):
+    """Directions and weights (summing to 1) of a product rule on S^{dim-1}.
+
+    N = 2: the midpoint rule in the angle; N = 3: Gauss-Legendre in the
+    height z, uniform on [-1, 1], times the midpoint rule in the azimuth;
+    N = 4: the same in Hopf coordinates, where sin^2 of the first angle
+    is uniform on [0, 1].
+    """
+    if dim == 1:
+        return np.array([[1.0], [-1.0]]), np.full(2, 0.5)
+    ring = 2.0 * math.pi * (np.arange(2 * order) + 0.5) / (2 * order)
+    if dim == 2:
+        return np.stack([np.cos(ring), np.sin(ring)], axis=1), np.full(ring.size, 1.0 / ring.size)
+    x, w = np.polynomial.legendre.leggauss(order)
+    if dim == 3:
+        z, az = np.meshgrid(x, ring, indexing="ij")
+        s = np.sqrt(1.0 - z * z)
+        dirs = np.stack([s * np.cos(az), s * np.sin(az), z], axis=-1)
+    else:
+        u, a1, a2 = np.meshgrid(0.5 * (x + 1.0), ring, ring, indexing="ij")
+        c, s = np.sqrt(1.0 - u), np.sqrt(u)
+        dirs = np.stack([c * np.cos(a1), c * np.sin(a1), s * np.cos(a2), s * np.sin(a2)], axis=-1)
+    weights = np.broadcast_to((0.5 * w).reshape((-1,) + (1,) * (dim - 2)), dirs.shape[:-1])
+    return dirs.reshape(-1, dim), weights.ravel() / ring.size ** (dim - 2)
+
+
+def ray_means(f, mean, V, order=24, cap=10.0):
+    """E f(mean + rho v) over rho ~ chi_N for every row v of V.
+
+    Composite Gauss-Legendre between 0, every crossing of the bump's two
+    radii, the vertex of the squared radius and ``cap``; f is read by value.
+    """
+    bump = getattr(f, "bump", f)
+    dim = mean.size
+    m = mean - bump.center
+    a, b, c = np.sum(V * V, axis=1), V @ m, m @ m
+    cuts = [np.zeros_like(a), np.full_like(a, cap), np.clip(-b / a, 0.0, cap)]
+    for r in (bump.inner_radius, bump.outer_radius):
+        disc = np.maximum(b * b - a * (c - r * r), 0.0)
+        for sign in (-1.0, 1.0):
+            cuts.append(np.clip((-b + sign * np.sqrt(disc)) / a, 0.0, cap))
+    cuts = np.sort(np.stack(cuts, axis=1), axis=1)
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo, half = cuts[:, :-1], 0.5 * np.diff(cuts, axis=1)
+    rho = lo[..., None] + half[..., None] * (x + 1.0)
+    density = rho ** (dim - 1) * np.exp(
+        -0.5 * rho * rho - (0.5 * dim - 1.0) * math.log(2.0) - math.lgamma(0.5 * dim)
+    )
+    vals = f.value((mean + rho[..., None] * V[:, None, None, :]).reshape(-1, dim))
+    return np.sum(half * ((vals.reshape(rho.shape) * density) @ w), axis=1)
+
+
+def whitened_reference(f, mean, root, order):
+    """E f(mean + root w), w ~ N(0, I): a product rule over the directions of
+    the whitened w and composite Gauss-Legendre along each ray."""
+    dirs, weights = sphere_rule(mean.size, order)
+    return float(weights @ ray_means(f, mean, dirs @ root.T))
+
+
+def transition(spec, t):
+    """e^{tB}, which maps X to the transition mean, and the symmetric root
+    of the transition covariance 2 t K(t)."""
+    exp_tB, _, _, tK, _, _ = _block_gramians(spec, np.array([t]))
+    return exp_tB[0], sym_sqrt(2.0 * tK)[0]
 
 
 def heat2_bump_radial(bump, var, X):
@@ -251,8 +319,7 @@ class TestApplySemigroup:
                 kolmogorov(1), gaussian(np.zeros(2), np.eye(2)), t, np.ones((3, 2))
             ),
             lambda t: apply_semigroup_report(
-                kolmogorov(1), CompactBump(np.zeros(2), 0.5, 1.0), t, [0.3, 0.1],
-                QuadratureSpec(mc_samples=1024),
+                kolmogorov(1), CompactBump(np.zeros(2), 0.5, 1.0), t, [0.3, 0.1]
             ),
         ],
         ids=["apply_semigroup", "semigroup_gradient", "oracle", "monte-carlo"],
@@ -400,13 +467,14 @@ class TestApplySemigroup:
 
 class TestMonteCarloFallback:
     def test_bump_matches_kernel_quadrature(self):
+        # N = 1 takes both half-lines exactly, so its replicates agree
         for spec, X in ((heat(1), np.array([0.3])), (kolmogorov(1), np.array([0.2, -0.4]))):
             bump = CompactBump(np.full(spec.dim, 0.25), 1.0, 2.5)
             report = apply_semigroup_report(spec, bump, 0.6, X)
             ref = bump_reference(spec, bump, 0.6, X)
             assert report.method == "monte-carlo"
-            assert 0 < report.stderr < 0.02
-            assert abs(report.value - ref) <= 5.0 * report.stderr
+            assert (report.stderr == 0.0) == (spec.dim == 1) and report.stderr < 0.02
+            assert abs(report.value - ref) <= 5.0 * report.stderr + 1e-9
 
     def test_deterministic_given_seed(self):
         spec = kolmogorov(1)
@@ -416,48 +484,40 @@ class TestMonteCarloFallback:
         assert a.value == b.value and a.stderr == b.stderr
 
     def test_seed_changes_draws(self):
+        # off centre: a bump centred at X on heat(2) has the same value
+        # along every ray, whatever the rotation
         spec = heat(2)
-        bump = CompactBump(np.zeros(2), 1.0, 2.0)
+        bump = CompactBump(np.array([0.4, -0.3]), 0.3, 0.9)
         a = apply_semigroup_report(spec, bump, 0.4, np.zeros(2))
         other = QuadratureSpec(rng_seed=7)
         b = apply_semigroup_report(spec, bump, 0.4, np.zeros(2), quad=other)
-        assert a.value != b.value
+        assert a.value != b.value and a.stderr != b.stderr
+        assert abs(a.value - b.value) <= 5.0 * (a.stderr + b.stderr)
 
-    def test_draws_are_the_philox_streams(self):
-        # each replicate is its Philox stream, permuted to ascending radius
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_directions_are_philox_rotations(self, dim):
         seed = 12345
-        rows = _mc_draw_set(3, 2**14, seed)
-        per = 2**14 // MC_REPLICATES
-        assert rows.shape == (MC_REPLICATES, 10, per)
-        for i in range(MC_REPLICATES):
-            rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-            stream = rng.standard_normal(size=(per, 3))
-            radii = np.linalg.norm(stream, axis=1)
-            order = np.argsort(radii, kind="stable")
-            assert np.array_equal(rows[i, :3], stream[order].T)
-            assert np.array_equal(np.sort(rows[i, :3].T.ravel()), np.sort(stream.ravel()))
-            assert np.array_equal(rows[i, -1], radii[order])
-            assert np.array_equal(rows[i, -1], np.linalg.norm(rows[i, :3].T, axis=1))
-            assert np.all(np.diff(rows[i, -1]) >= 0.0)
+        dirs = _directions(dim, seed)
+        want = rotated_design(dim, seed)
+        assert dirs.shape == (want.shape[0] * want.shape[1], dim)
+        assert_allclose(dirs, want.reshape(-1, dim), rtol=0.0, atol=1e-15)
+        assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-15)
 
-    def test_small_sample_counts_draw_512_per_replicate(self):
-        assert _mc_draw_set(2, 1024, 1).shape == (MC_REPLICATES, 6, 512)
-
-    def test_draws_are_read_only(self):
-        rows = _mc_draw_set(2, 1024, 3)
-        assert not rows.flags.writeable
+    def test_directions_are_read_only(self):
+        dirs = _directions(2, 3)
+        assert not dirs.flags.writeable
         with pytest.raises(ValueError):
-            rows[0, 0, 0] = 1.0
+            dirs[0, 0] = 1.0
 
-    def test_draws_are_built_once(self):
-        quad = QuadratureSpec(time_nodes=80, mc_samples=1024, rng_seed=99)
+    def test_directions_are_built_once(self):
+        quad = QuadratureSpec(time_nodes=80, rng_seed=99)
         spec, bump = heat(2), CompactBump(np.zeros(2), 0.3, 0.8)
-        _mc_draw_set.cache_clear()
+        _directions.cache_clear()
         for t in (0.1, 0.1, 0.7):
             apply_semigroup_report(spec, bump, t, np.zeros(2), quad)
         apply_poisson(spec, bump, 0.5, np.zeros(2), quad)
         # one build, then one lookup per call
-        info = _mc_draw_set.cache_info()
+        info = _directions.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
     @pytest.mark.parametrize(
@@ -465,25 +525,30 @@ class TestMonteCarloFallback:
     )
     @pytest.mark.parametrize("modulated", [False, True], ids=["bump", "modulated"])
     def test_matches_fresh_draw_loop(self, spec, modulated):
+        # the rule's own rays, rebuilt from their Philox streams, each
+        # integrated by a composite rule of its own: the replicate means
+        # and their spread
         n = spec.dim
         X = np.linspace(-0.3, 0.4, n)
         factor = gaussian(np.full(n, -0.2), 0.8 * np.eye(n), monomial=(1,) + (0,) * (n - 1))
         away = np.linspace(1.0, -0.5, n) / np.linalg.norm(np.linspace(1.0, -0.5, n))
+        rays = rotated_design(n, DEFAULT_QUAD.rng_seed)
         for t in (0.05, 1.3):
-            # near, and 30 away with the transition ring through the cloud,
-            # where |m|^2 = 900 dominates the expanded squared radius
-            far = gramians(spec, t).exp_tB @ X + 30.0 * away
-            for bump in (CompactBump(np.full(n, 0.1), 0.4, 1.1), CompactBump(far, 29.6, 30.6)):
+            # near, and 30 away with the transition ring through the cloud
+            exp_tB, root = transition(spec, t)
+            mean = exp_tB @ X
+            for bump in (CompactBump(np.full(n, 0.1), 0.4, 1.1), CompactBump(mean + 30.0 * away, 29.6, 30.6)):
                 f = ModulatedBump(bump, factor) if modulated else bump
                 got = apply_semigroup_report(spec, f, t, X)
-                value, stderr = mc_loop_reference(spec, f, t, X)
-                assert got.value == pytest.approx(value, rel=1e-13, abs=0.0)
-                assert got.stderr == pytest.approx(stderr, rel=1e-13, abs=0.0)
+                means = [np.mean(ray_means(f, mean, design @ root.T, order=40)) for design in rays]
+                assert got.value == pytest.approx(np.mean(means), rel=1e-12, abs=1e-15)
+                stderr = np.std(means, ddof=1) / math.sqrt(MC_REPLICATES)
+                assert got.stderr == pytest.approx(stderr, rel=1e-6, abs=1e-15)
 
     def test_bump_at_the_mean_of_a_degenerate_kernel_is_one(self):
         # at t = 1e-9 the kolmogorov(1) covariance has eigenvalues 2e-9 and
-        # 1.7e-28; every squared radius lies far inside the plateau, rounding
-        # may take one below 0, and the bump must still read exactly 1
+        # 1.7e-28; every ray stays in the plateau up to the chi_2 cap, and
+        # the bump must read exactly 1
         spec, t, X = kolmogorov(1), 1e-9, np.array([0.3, -0.2])
         bump = CompactBump(gramians(spec, t).exp_tB @ X, 0.4, 1.1)
         with warnings.catch_warnings():
@@ -491,33 +556,46 @@ class TestMonteCarloFallback:
             got = apply_semigroup_report(spec, bump, t, X)
         assert got.value == 1.0 and got.stderr == 0.0
 
-    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_centred_bump_is_the_chi_law(self, dim):
+        # centred on the mean of heat(N) every ray reads the same radial
+        # law: chi_N CDF on the plateau, the profile against the chi_N
+        # density on the transition
+        spec, t, X = heat(dim), 0.3, np.full(dim, 0.2)
+        bump = CompactBump(X, 0.5, 1.6)
+        sigma = math.sqrt(2.0 * t)
+        edge, _ = integrate.quad(
+            lambda r: bump.value(X + np.eye(dim)[0] * r) * stats.chi.pdf(r / sigma, dim) / sigma,
+            0.5, 1.6, epsabs=1e-14, epsrel=1e-13,
+        )
+        want = stats.chi.cdf(0.5 / sigma, dim) + edge
+        got = apply_semigroup_report(spec, bump, t, X)
+        assert got.stderr <= 1e-15
+        assert got.value == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
-        which=st.integers(0, 5),
-        log_t=st.floats(math.log(1e-9), math.log(1e8)),
+        which=st.integers(0, 6),
+        log_t=st.floats(math.log(1e-9), math.log(1e3)),
         place=st.sampled_from(["inside", "on", "far"]),
         modulated=st.booleans(),
         seed=st.integers(0, 10**6),
     )
-    def test_certified_means_match_every_sample(self, which, log_t, place, modulated, seed):
-        # the certificate skips only samples whose value is exactly 1 or 0,
-        # so the means are those of every sample, up to summation order;
-        # six nodes make a full and a partial block of MC_NODE_BLOCK
-        spec = (PRESETS() + (kolmogorov(2), CHAIN3))[which]
+    def test_means_match_whitened_reference(self, which, log_t, place, modulated, seed):
+        spec = (heat(1), heat(2), kolmogorov(1), ornstein_uhlenbeck(2), heat(3), CHAIN3, kolmogorov(2))[which]
         t = math.exp(log_t)
         if spec == ornstein_uhlenbeck(2):
-            # its Gramians break down past t of about 400; the nodes reach 2 t
+            # its Gramians overflow past t of about 355
             t = min(t, 150.0)
         rng = np.random.default_rng(seed)
         n = spec.dim
-        exp_tB, _, _, tK, _, _ = _block_gramians(spec, t * np.geomspace(1.0, 2.0, 6))
-        roots = sym_sqrt(2.0 * tK)
-        # s: the widest standard deviation of the first node's law.  The
-        # reference forms the points mu + A w, which keep A w only to the
-        # ulp of mu, so the start point is no larger than s
-        s = float(np.max(np.abs(np.linalg.eigvalsh(roots[0]))))
+        exp_tB, root = transition(spec, t)
+        # s: the widest standard deviation of the law.  The reference forms
+        # the points mu + A w, which keep A w only to the ulp of mu, so the
+        # start point is no larger than s
+        s = float(np.max(np.abs(np.linalg.eigvalsh(root))))
         X = min(s, 1.0) * rng.uniform(-1.0, 1.0, size=n)
-        mus = exp_tB @ X
+        mean = exp_tB @ X
         u = rng.normal(size=n)
         u /= np.linalg.norm(u)
         offset, r_in = {
@@ -525,40 +603,14 @@ class TestMonteCarloFallback:
             "on": (0.0, rng.uniform(0.2, 3.0)),
             "far": (50.0, rng.uniform(0.2, 3.0)),
         }[place]
-        center = mus[0] + offset * s * u
-        bump = CompactBump(center, r_in * s, (r_in + rng.uniform(0.1, 3.0)) * s)
-        f = bump
+        center = mean + offset * s * u
+        f = CompactBump(center, r_in * s, (r_in + rng.uniform(0.1, 3.0)) * s)
         if modulated:
-            f = ModulatedBump(bump, gaussian(center + s * u, np.eye(n) / (4.0 * s * s)))
-        quad = QuadratureSpec(mc_samples=2**14)
-        got = _mc_means(f, mus, roots, quad)
-        want = mc_means_every_sample(f, mus, roots, quad)
-        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
-
-    def test_certified_calls_evaluate_no_bump(self, monkeypatch):
-        # at t = 1e-9 every sample lies in the plateau of a bump centred at
-        # the mean, at t = 1e8 every one lies beyond the bump
-        sizes = []
-        profile = CompactBump.profile
-
-        def counted(bump, r2, out=None):
-            sizes.append(r2.size)
-            return profile(bump, r2, out)
-
-        monkeypatch.setattr(CompactBump, "profile", counted)
-        spec, X = heat(2), np.array([0.3, -0.2])
-        inner = apply_semigroup_report(spec, CompactBump(X, 0.4, 1.1), 1e-9, X)
-        outer = apply_semigroup_report(spec, CompactBump(X + 0.2, 0.4, 1.1), 1e8, X)
-        assert (inner.value, inner.stderr) == (1.0, 0.0)
-        assert (outer.value, outer.stderr) == (0.0, 0.0)
-        assert sum(sizes) == 0
-
-    def test_draw_set_rows_are_the_draw_products(self):
-        rows = _mc_draw_set(3, 2**12, 5)
-        i, j = np.triu_indices(3)
-        assert rows.shape == (MC_REPLICATES, 10, 2**12 // MC_REPLICATES)
-        assert not rows.flags.writeable
-        assert np.array_equal(rows[:, 3:9], rows[:, i] * rows[:, j])
+            f = ModulatedBump(f, gaussian(center + s * u, np.eye(n) / (4.0 * s * s), monomial=(1,) + (0,) * (n - 1)))
+        got = apply_semigroup_report(spec, f, t, X)
+        want = whitened_reference(f, mean, root, order={1: 1, 2: 128, 3: 32, 4: 12}[n])
+        assert got.method == "monte-carlo"
+        assert abs(got.value - want) <= 5.0 * got.stderr + 1e-9
 
 
 class TestSemigroupGradient:
@@ -700,7 +752,7 @@ class TestApplyPoisson:
 
         monkeypatch.setattr(semigroup_module, "_block_gramians", counted_engine)
         monkeypatch.setattr(semigroup_module, "_mc_means", counted_means)
-        quad = QuadratureSpec(time_nodes=nodes, mc_samples=1024)
+        quad = QuadratureSpec(time_nodes=nodes)
         bump = CompactBump(np.zeros(2), 0.3, 0.8)
         apply_poisson(heat(2), bump, 0.5, np.zeros(2), quad)
         assert sizes == [times]
@@ -709,6 +761,26 @@ class TestApplyPoisson:
     def test_time_nodes_floor(self):
         with pytest.raises(ValueError):
             QuadratureSpec(time_nodes=79)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"time_nodes": math.nan}, {"time_nodes": 200.5}, {"time_nodes": True},
+         {"rng_seed": 1.5}, {"rng_seed": -1}, {"rng_seed": 2**70}],
+        ids=["nodes-nan", "nodes-fraction", "nodes-bool", "seed-fraction", "seed-negative", "seed-2^70"],
+    )
+    def test_quadrature_spec_rejects(self, kwargs):
+        # NaN and 200.5 nodes failed inside apply_poisson with numpy's "deg
+        # must be an integer"; seeds 1.5 and -1 gave values, 2^70 overflowed
+        # at first use
+        with pytest.raises(ValueError):
+            QuadratureSpec(**kwargs)
+
+    def test_quadrature_spec_takes_numpy_integers(self):
+        quad = QuadratureSpec(time_nodes=np.int64(120), rng_seed=np.uint64(2**64 - 1))
+        assert (quad.time_nodes, quad.rng_seed) == (120, 2**64 - 1)
+        assert type(quad.time_nodes) is int and type(quad.rng_seed) is int
+        bump = CompactBump(np.array([0.3, 0.0]), 0.3, 0.8)
+        assert 0.0 < apply_poisson(heat(2), bump, 0.5, np.zeros(2), quad) < 1.0
 
     def test_short_range_identity(self):
         rng = np.random.default_rng(9)
@@ -749,7 +821,7 @@ class TestApplyPoisson:
     )
     @pytest.mark.parametrize("modulated", [False, True], ids=["bump", "modulated"])
     def test_monte_carlo_matches_per_node_loop(self, monkeypatch, spec, modulated):
-        quad = QuadratureSpec(mc_samples=2**12)
+        quad = DEFAULT_QUAD
         f = CompactBump(np.array([0.2, -0.1]), 0.3, 0.9)
         if modulated:
             f = ModulatedBump(f, gaussian(np.array([-0.2, 0.1]), 0.8 * np.eye(2), monomial=(1, 0)))
@@ -778,7 +850,7 @@ class TestApplyPoisson:
             f = CompactBump(np.zeros(2), 0.3, 0.8)
         else:
             f = gaussian(np.zeros(2), np.eye(2), monomial=(1, 1))
-        quad = QuadratureSpec(mc_samples=1024)
+        quad = DEFAULT_QUAD
         before = _gramian_bundle.cache_info()
         apply_poisson(kolmogorov(1), f, 0.6, np.array([0.2, -0.4]), quad)
         assert calls == [201]

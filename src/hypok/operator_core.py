@@ -392,11 +392,9 @@ def _block_gramians(spec: OperatorSpec, ts: np.ndarray):
       +-t with the cached coefficients, and one batched ``F F'``;
     * Pade, for every other drift: with H = [[B, Q], [0, -B']], exp(tH)
       has blocks E11 = e^{tB}, E12 = e^{tB} C(t) and E22 = e^{-tB'};
-      then t K(t) = E12 E11', e^{-tB} = E22', and C(t) = E11^{-1} t K(t)
-      E11^{-T} by two solves, with log det C(t) = log det t K(t)
-      - 2 log det E11. Both read C(t) off the accurate t K(t) rather
-      than off E12 alone, whose rounding is relative to the far larger
-      E22 block.
+      then t K(t) = E12 E11', e^{-tB} = E22', C(t) = E11^{-1} t K(t) E11^{-T}
+      by two solves (E12 alone is rounded relative to the far larger E22)
+      and log det C(t) = log det t K(t) - 2 t tr B.
 
     Both routes end in the same check and ``DomainError``.
     """
@@ -411,7 +409,6 @@ def _block_gramians(spec: OperatorSpec, ts: np.ndarray):
             E11, E22T = P[..., : n * n].reshape(-1, 2, n, n).transpose(1, 0, 2, 3)
             F = P[..., n * n :].reshape(len(ts), 2, n, -1)
             tK, C = (ts[:, None, None, None] * (F @ F.transpose(0, 1, 3, 2))).transpose(1, 0, 2, 3)
-            stack = (tK, C)
         else:
             E = _exp_grid(_block_powers(spec), ts)
             E11, E12, E22T = E[:, :n, :n], E[:, :n, n:], E[:, n:, n:].transpose(0, 2, 1)
@@ -422,19 +419,16 @@ def _block_gramians(spec: OperatorSpec, ts: np.ndarray):
             except np.linalg.LinAlgError:
                 raise DomainError("e^{tB} is singular in floating point on the time grid") from None
             C = 0.5 * (C + C.transpose(0, 2, 1))
-            stack = (tK, C, E11)
-        # each LAPACK routine runs once over the whole stack (per matrix,
-        # the result of a separate call)
-        signs, logdets = np.linalg.slogdet(np.concatenate(stack))
+        # each LAPACK routine runs once over both Gramians (per matrix, the
+        # result of a separate call)
+        signs, logdets = np.linalg.slogdet(np.concatenate((tK, C)))
     # every sign 1 and every log-determinant finite, a NaN failing both;
     # Python on lists costs less than np.all at a single time
     if signs.tolist().count(1.0) < len(signs) or not all(map(math.isfinite, logdets.tolist())):
         raise DomainError("t*K(t) or C(t) is not positive definite and finite on the time grid")
-    k = len(ts)
-    logdet_tK, logdet_C = logdets[:k], logdets[k : 2 * k]
     if coef is None:
-        logdet_C = logdet_tK - 2.0 * logdets[2 * k :]
-    return E11, E22T, C, tK, logdet_tK, logdet_C
+        logdets[len(ts) :] = logdets[: len(ts)] - 2.0 * spec.trace_B * ts
+    return E11, E22T, C, tK, logdets[: len(ts)], logdets[len(ts) :]
 
 
 def gramians(spec: OperatorSpec, t: float) -> GramianBundle:

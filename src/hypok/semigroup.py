@@ -95,11 +95,15 @@ __all__ = [
 
 MC_REPLICATES = 8
 # rays per replicate at N = 2, equally spaced; N = 1 takes its two
-# half-lines, N >= 3 the 2 N^2 rays +-e_i and (+-e_i +-e_j) / sqrt(2)
-PLANE_RAYS = 32
+# half-lines, N >= 3 SPACE_TURNS independent turns of the 2 N^2 rays +-e_i
+# and (+-e_i +-e_j) / sqrt(2)
+PLANE_RAYS, SPACE_TURNS = 32, 32
 # Gauss-Legendre nodes per ray panel, and the longest panel in the
 # whitened radius: the chi_N density is then resolved to roundoff
 RAY_NODES, RAY_PANEL = 12, 2.0
+# equal panels per transition stretch past which a block grades them, and
+# the log-step of the grading
+RAY_EQUAL_MAX, LOG3 = 16, math.log(3.0)
 # (time node, ray) pairs per block, and panels per chunk, of _mc_means
 RAY_BLOCK = 2048
 # points per block of a tensor grid; bounds the memory of every grid sum.
@@ -172,29 +176,27 @@ def _uniform(order):
     return np.linspace(-1.0, 1.0, order), np.ones(order)
 
 
-@lru_cache(maxsize=32)
-def _rule(rule, order):
-    nodes, weights = rule(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
-@lru_cache(maxsize=None)
-def _legendre(order):
-    """Gauss-Legendre nodes and weights, Newton-polished in long double:
-    numpy's rule misses its low moments by up to a few ulps, of one sign
-    at some orders, which a mean over many ray panels turns into a bias."""
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], numpy's rule Newton-polished
+    in long double: numpy's misses its low moments by up to a few ulps, of
+    one sign at some orders, which a mean over many ray panels turns into a
+    bias."""
     x = np.polynomial.legendre.leggauss(order)[0].astype(np.longdouble)
-    for _ in range(3):
+    for _ in range(2):
         p0, p1 = np.ones_like(x), x
         for k in range(2, order + 1):
             p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
         slope = order * (x * p1 - p0) / (x * x - 1)
         x = x - p1 / slope
-    nodes, weights = x.astype(float), (2 / ((1 - x * x) * slope**2)).astype(float)
-    for a in (nodes, weights):
-        a.setflags(write=False)
+    return x.astype(float), (2 / ((1 - x * x) * slope**2)).astype(float)
+
+
+# every adaptive norm order (96 to 256) fits, so each is polished once
+@lru_cache(maxsize=256)
+def _rule(rule, order):
+    nodes, weights = rule(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights
 
 
@@ -259,9 +261,10 @@ def _check_input(spec, f, X, kinds):
 @lru_cache(maxsize=8)
 def _directions(dim, rng_seed):
     """Read-only unit rays (MC_REPLICATES * L, dim), replicate i in rows i L to (i + 1) L:
-    the design of PLANE_RAYS turned by the sign-fixed Q of the QR of a
-    standard normal (dim, dim) draw of Philox(key=[rng_seed, i]), a Haar
-    rotation, so each ray is uniform on the sphere."""
+    the design of PLANE_RAYS (SPACE_TURNS copies of it for dim >= 3), each
+    copy turned by the sign-fixed Q of the QR of its own standard normal
+    (dim, dim) draw from Philox(key=[rng_seed, i]), a Haar rotation, so
+    each ray is uniform on the sphere."""
     if dim == 2:
         angle = (2.0 * math.pi / PLANE_RAYS) * np.arange(PLANE_RAYS)
         design = np.stack([np.cos(angle), np.sin(angle)], axis=1)
@@ -269,12 +272,14 @@ def _directions(dim, rng_seed):
         eye, (i, j) = np.eye(dim), np.triu_indices(dim, 1)
         design = np.concatenate([eye, (eye[i] + eye[j]) / 2**0.5, (eye[i] - eye[j]) / 2**0.5])
         design = np.concatenate([design, -design])
-    out = np.empty((MC_REPLICATES,) + design.shape)
+    turns = 1 if dim <= 2 else SPACE_TURNS
+    out = np.empty((MC_REPLICATES, turns) + design.shape)
     for rep in range(MC_REPLICATES):
         # uint64 words: a list holding a seed >= 2^63 would pass floats
         rng = np.random.Generator(np.random.Philox(key=np.array([rng_seed, rep], dtype=np.uint64)))
-        q, r = np.linalg.qr(rng.standard_normal(size=(dim, dim)))
-        out[rep] = design @ (q * np.sign(np.diag(r))).T
+        q, r = np.linalg.qr(rng.standard_normal(size=(turns, dim, dim)))
+        q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        out[rep] = design @ q.transpose(0, 2, 1)
     out = out.reshape(-1, dim)
     out.setflags(write=False)
     return out
@@ -296,16 +301,6 @@ def _chi_tail(dim, rho):
     return total
 
 
-@lru_cache(maxsize=None)
-def _chi_cap(dim):
-    """Radius past which the chi_dim tail is below 2^-60, by bisection."""
-    lo, hi = 0.0, 64.0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if _chi_tail(dim, np.array(mid)) > 2.0**-60 else (lo, mid)
-    return hi
-
-
 def _ball_span(a, b, d):
     """Whether a rho^2 + 2 b rho + d <= 0 somewhere on rho >= 0, and the ends
     [lo, hi] of that stretch, each root in its cancellation-free form."""
@@ -321,17 +316,31 @@ def _mc_means(f, mus, roots, quad):
 
     With w = rho theta, rho ~ chi_N and theta on the rays of
     :func:`_directions`, |m + rho A theta|^2 (m = mu - center) is a
-    quadratic in rho whose crossings of r_in^2 and r_out^2, capped at
-    :func:`_chi_cap`, cut rho >= 0 into a plateau between two transition
-    stretches (split at the vertex when the ray misses the plateau).  A
-    plain bump's plateau is an exact chi_N increment; every other stretch
-    takes Gauss-Legendre panels, a ModulatedBump's factor at the nodes.
+    quadratic in rho whose crossings of r_in^2 and r_out^2, capped where
+    the chi_N tail drops below roundoff, cut rho >= 0 into a plateau
+    between two transition stretches (split at the vertex when the ray
+    misses the plateau).  A plain bump's plateau is an exact chi_N
+    increment; every other stretch takes Gauss-Legendre panels, a
+    ModulatedBump's factor at the nodes.
+
+    Along a ray v = A theta the radius R = |m + rho v| (d at the vertex)
+    has complex branch points R / |v| >= r_in / |v| from rho, so equal
+    transition panels are at most 2 r_in / |v| long.  A block that would
+    need more than RAY_EQUAL_MAX of them on a stretch (a thin plateau)
+    grades its transition stretches instead: from the near end in steps
+    of log 3 in u = log(R + sqrt(R^2 - d^2)), each panel within twice its
+    own distance from the branch points, up to the radius where that
+    reaches the longest panel, in equal panels beyond; a plateau
+    r_in << r_out then costs about log(r_out / r_in) panels.
     """
     K, n = mus.shape
     bump, factor = (f.bump, f.f) if isinstance(f, ModulatedBump) else (f, None)
+    r_in, r_out = bump.inner_radius, bump.outer_radius
     dirs = _directions(n, quad.rng_seed)
-    rays, cap = dirs.shape[0], _chi_cap(n)
-    x, w = _legendre(RAY_NODES)
+    # past cap the chi_N tail is below e^{-42} (Laurent and Massart 2000,
+    # Ann. Statist. 28: P(|w|^2 >= N + 2 sqrt(N x) + 2 x) <= e^{-x})
+    rays, cap = dirs.shape[0], math.sqrt(n + 2.0 * math.sqrt(42.0 * n) + 84.0)
+    x, w = _rule(_leggauss, RAY_NODES)
     log_norm = (0.5 * n - 1.0) * math.log(2.0) + math.lgamma(0.5 * n)
     sums = np.empty((K, rays))
     step = max(RAY_BLOCK // rays, 1)
@@ -342,41 +351,75 @@ def _mc_means(f, mus, roots, quad):
         a = np.einsum("krn,krn->kr", V, V)
         b = (V @ m[:, :, None])[..., 0]
         c0 = np.einsum("kn,kn->k", m, m)[:, None]
-        hit, e0, e3 = _ball_span(a, b, c0 - bump.outer_radius**2)
+        hit, e0, e3 = _ball_span(a, b, c0 - r_out**2)
         e0 = np.where(hit, np.minimum(e0, cap), 0.0)
         e3 = np.where(hit, np.fmax(np.fmin(e3, cap), e0), e0)
-        hit, e1, e2 = _ball_span(a, b, c0 - bump.inner_radius**2)
+        hit, e1, e2 = _ball_span(a, b, c0 - r_in**2)
         with np.errstate(divide="ignore", invalid="ignore"):
             vertex = np.fmax(np.fmin(-b / a, e3), e0)
-            # the squared radius vanishes only at complex rho at least r_in /
-            # |A theta| from a transition stretch: panels twice that long
-            edge = np.minimum(2.0 * bump.inner_radius / np.sqrt(a), RAY_PANEL)
         e1 = np.where(hit, np.fmin(np.fmax(e1, e0), e3), vertex)
         e2 = np.where(hit, np.fmax(np.fmin(e2, e3), e1), vertex)
         if factor is None:
             acc = _chi_tail(n, e1) - _chi_tail(n, e2)
-            lo, hi, panel = np.stack([e0, e2]), np.stack([e1, e3]), np.stack([edge, edge])
+            span = RAY_PANEL
         else:
             # a factor term e^{-<S(y - c), y - c>} narrows e^{-rho^2/2} to
             # e^{-(1/2 + v'Sv) rho^2} along the ray v = A theta
-            curv = max(np.einsum("krn,nm,krm->kr", V, term.shape, V) for term in factor.terms)
-            inner = RAY_PANEL / np.sqrt(1.0 + 2.0 * curv)
+            curv = reduce(np.maximum, (np.einsum("krn,nm,krm->kr", V, t.shape, V) for t in factor.terms))
+            span = RAY_PANEL / np.sqrt(1.0 + 2.0 * curv)
             acc = np.zeros(a.shape)
-            lo, hi = np.stack([e0, e1, e2]), np.stack([e1, e2, e3])
-            panel = np.stack([np.minimum(edge, inner), inner, np.minimum(edge, inner)])
-        # stretch s of the flattened (stretch, node, ray) order owns the
-        # count[s] equal panels before ends[s], on the (node, ray) pair
-        # s % a.size; panels are built chunk by chunk, so a long stretch
-        # cut into many panels takes no more memory
-        length, lo = (hi - lo).ravel(), lo.ravel()
-        count = np.ceil(length / panel.ravel()).astype(np.intp)
-        ends = np.cumsum(count)
+
+        # the falling stretch [e0, e1] and the rising [e2, e3] from their
+        # near ends, in equal panels or graded ones (see the docstring)
+        near, far = np.stack([e1, e2]), np.stack([e0, e3])
+        with np.errstate(divide="ignore"):
+            unit = np.minimum(2.0 * r_in / np.sqrt(a), span)
+        graded = np.any(np.abs(far - near) > RAY_EQUAL_MAX * unit)
+        mid = near
+        if graded:
+            # radii below 1e-300 r_out count as 1e-300 r_out, so e^u stays
+            # finite; u past the near end is rho = near + scale expm1(u)
+            # (1 + q2 e^-u)
+            R = np.stack([near, far])
+            R = np.sqrt(np.maximum((a * R + 2.0 * b) * R + c0, 0.0))
+            R = np.clip(R, max(r_in, 1e-300 * r_out), r_out)
+            R = np.stack([R[0], np.clip(0.5 * span * np.sqrt(a), R[0], R[1]), np.maximum(R[0], R[1])])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.sqrt(np.fmax(c0 - b * b / a, 0.0))
+                W = R * (1.0 + np.sqrt(np.maximum(1.0 - (d / R) ** 2, 0.0)))
+                scale = np.array([-0.5, 0.5])[:, None, None] * W[0] / np.sqrt(a)
+            steps, u_far = np.ceil(np.log(W[1] / W[0]) / LOG3), np.log(W[2] / W[0])
+            q2 = (d / W[0]) ** 2
+            mid = near + scale * np.expm1(steps * LOG3) * (1.0 + q2 * np.exp(-steps * LOG3))
+            mid, unit = np.where(steps * LOG3 < u_far, np.where(steps > 0.0, mid, near), far), span
+        # sub-stretch s (graded, equal, a ModulatedBump's plateau) runs from
+        # lo[s] in count[s] panels of size[s] in u (graded) or in rho
+        lo, hi = [mid, e1[None]][: 1 if factor is None else 2], [far, e2[None]]
+        count = [np.where(h != l, np.fmax(np.ceil(np.abs(h - l) / z), 1.0), 0.0)
+                 for l, h, z in zip(lo, hi, (unit, span))]
+        size = [(h - l) / np.fmax(c, 1.0) for l, h, c in zip(lo, hi, count)]
+        if graded:
+            lo.insert(0, near)
+            count.insert(0, np.where(near != far, np.minimum(steps, np.ceil(u_far / LOG3)), 0.0))
+            size.insert(0, np.minimum(steps * LOG3, u_far) / np.fmax(count[0], 1.0))
+        lo, size, count = (np.concatenate(z).reshape(-1) for z in (lo, size, count))
+        if graded:
+            scale, q2 = (np.pad(z.reshape(-1), (0, lo.size - z.size)) for z in (scale, q2))
+        count = count.astype(np.intp)
+        total = np.cumsum(count)
         flat_acc, flat_V = acc.reshape(-1), V.reshape(-1, n)
-        for c in range(0, int(ends[-1]), RAY_BLOCK):
-            p = np.arange(c, min(c + RAY_BLOCK, int(ends[-1])))
-            s = np.searchsorted(ends, p, side="right")
-            o, half = s % a.size, 0.5 * length[s] / count[s]
-            rho = (lo[s] + (2 * (p - ends[s] + count[s]) + 1) * half)[:, None] + half[:, None] * x
+        for c in range(0, int(total[-1]), RAY_BLOCK):
+            p = np.arange(c, min(c + RAY_BLOCK, int(total[-1])))
+            s = np.searchsorted(total, p, side="right")
+            o, j = s % a.size, p - total[s] + count[s]
+            ends = np.stack([j, j + 1]) * size[s]
+            if graded:
+                # u to rho on the graded sub-stretches, the first 2 a.size
+                mapped = scale[s] * np.expm1(ends) * (1.0 + q2[s] * np.exp(-ends))
+                ends = np.where(s < 2 * a.size, mapped, ends)
+            ends += lo[s]
+            half = 0.5 * (ends[1] - ends[0])
+            rho = (ends[0] + half)[:, None] + half[:, None] * x
             q = (a.reshape(-1)[o, None] * rho + 2.0 * b.reshape(-1)[o, None]) * rho + c0[o // rays]
             vals = bump.profile(q) * np.exp(-0.5 * rho * rho - log_norm)
             if n > 1:
@@ -385,7 +428,7 @@ def _mc_means(f, mus, roots, quad):
                 Y = rho[:, :, None] * flat_V[o][:, None, :]
                 Y += mus[blk][o // rays][:, None, :]
                 vals *= factor.value(Y)
-            flat_acc += np.bincount(o, weights=(vals @ w) * half, minlength=flat_acc.size)
+            flat_acc += np.bincount(o, weights=(vals @ w) * np.abs(half), minlength=flat_acc.size)
         sums[blk] = acc
     return sums.reshape(K, MC_REPLICATES, -1).mean(axis=2)
 
@@ -398,8 +441,9 @@ def apply_semigroup_report(
     Gaussian-polynomial functions are convolved in closed form (method
     ``"closed-form"``, stderr 0).  Compact profiles take the randomised
     spherical-radial rule of :func:`_mc_means` (method ``"monte-carlo"``):
-    the mean over MC_REPLICATES rotations of its rays, and their standard
-    error as stderr (0 at N = 1, where the two half-lines are exact).
+    the mean over MC_REPLICATES independently turned copies of its rays,
+    and their standard error as stderr (0 at N = 1, where the two
+    half-lines are exact).
     """
     t = _check_time(t)
     X = _check_input(spec, f, X, (TestFunction, CompactBump, ModulatedBump))
@@ -477,7 +521,7 @@ def apply_poisson(
         raise DomainError("z must be positive and finite")
     X = _check_input(spec, f, X, (TestFunction, CompactBump, ModulatedBump))
     half = quad.time_nodes // 2
-    nodes, weights = _rule(np.polynomial.legendre.leggauss, half)
+    nodes, weights = _rule(_leggauss, half)
     sqrt_pi = math.sqrt(math.pi)
 
     # beyond t_cap every exponential mode of the drift has converged (or,
@@ -606,7 +650,7 @@ def lp_norm(
     if dim > 3:
         raise UnsupportedDegreeError("norm grids are capped at N = 3")
     total = 0.0
-    for pts, w in _grid_blocks(np.polynomial.legendre.leggauss, order, dim, radius):
+    for pts, w in _grid_blocks(_leggauss, order, dim, radius):
         total = total + w @ np.abs(np.asarray(f(pts))) ** p
     return float(np.power(total, 1.0 / p))
 

@@ -33,6 +33,7 @@ from hypok.semigroup import (
     DEFAULT_QUAD,
     GRID_BLOCK,
     MC_REPLICATES,
+    SPACE_TURNS,
     QuadratureSpec,
     apply_poisson,
     apply_semigroup,
@@ -167,10 +168,10 @@ def bump_reference(spec, bump, t, X, order=220):
 def rotated_design(dim, seed):
     """The ray rule rebuilt: (MC_REPLICATES, L, dim) rotations of its design.
 
-    N = 1 takes +-1, N = 2 32 equally spaced angles, N >= 3 the directions
-    +-e_i and (+-e_i +-e_j) / sqrt(2); replicate i turns the design by the
-    sign-fixed QR factor of the standard normal (dim, dim) draw of
-    Philox(key=[seed, i]).
+    N = 1 takes +-1, N = 2 32 equally spaced angles, N >= 3 SPACE_TURNS
+    copies of the directions +-e_i and (+-e_i +-e_j) / sqrt(2); replicate
+    i turns its copy k by the sign-fixed QR factor of the k-th standard
+    normal (dim, dim) draw of Philox(key=[seed, i]).
     """
     eye = np.eye(dim)
     if dim == 2:
@@ -184,8 +185,11 @@ def rotated_design(dim, seed):
     out = []
     for i in range(MC_REPLICATES):
         rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        q, r = np.linalg.qr(rng.standard_normal(size=(dim, dim)))
-        out.append(design @ (q * np.sign(np.diag(r))).T)
+        turns = []
+        for _ in range(1 if dim <= 2 else SPACE_TURNS):
+            q, r = np.linalg.qr(rng.standard_normal(size=(dim, dim)))
+            turns.append(design @ (q * np.sign(np.diag(r))).T)
+        out.append(np.concatenate(turns))
     return np.array(out)
 
 
@@ -527,10 +531,11 @@ class TestMonteCarloFallback:
     def test_matches_fresh_draw_loop(self, spec, modulated):
         # the rule's own rays, rebuilt from their Philox streams, each
         # integrated by a composite rule of its own: the replicate means
-        # and their spread
+        # and their spread; the factor has two terms of different widths
         n = spec.dim
         X = np.linspace(-0.3, 0.4, n)
         factor = gaussian(np.full(n, -0.2), 0.8 * np.eye(n), monomial=(1,) + (0,) * (n - 1))
+        factor = factor + 0.5 * gaussian(np.full(n, 0.3), 2.5 * np.eye(n))
         away = np.linspace(1.0, -0.5, n) / np.linalg.norm(np.linspace(1.0, -0.5, n))
         rays = rotated_design(n, DEFAULT_QUAD.rng_seed)
         for t in (0.05, 1.3):
@@ -540,10 +545,82 @@ class TestMonteCarloFallback:
             for bump in (CompactBump(np.full(n, 0.1), 0.4, 1.1), CompactBump(mean + 30.0 * away, 29.6, 30.6)):
                 f = ModulatedBump(bump, factor) if modulated else bump
                 got = apply_semigroup_report(spec, f, t, X)
-                means = [np.mean(ray_means(f, mean, design @ root.T, order=40)) for design in rays]
+                means = [np.mean(ray_means(f, mean, design @ root.T, order=80)) for design in rays]
                 assert got.value == pytest.approx(np.mean(means), rel=1e-12, abs=1e-15)
                 stderr = np.std(means, ddof=1) / math.sqrt(MC_REPLICATES)
                 assert got.stderr == pytest.approx(stderr, rel=1e-6, abs=1e-15)
+
+    def test_thin_plateau_costs_few_panels(self, monkeypatch):
+        # transition stretches are graded out from the plateau, so a plateau
+        # of radius 1e-300 costs a few more panels per ray than a wide one,
+        # not r_out / r_in more, and overflows nothing
+        panels = []
+        profile = CompactBump.profile
+        monkeypatch.setattr(CompactBump, "profile", lambda b, r2, out=None: panels.append(r2.size) or profile(b, r2, out))
+        spec, X = heat(2), np.zeros(2)
+        counts = []
+        for r_in in (0.3, 1e-6, 1e-300, 5e-324):
+            bump = CompactBump(np.array([0.2, -0.1]), r_in, 1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = apply_semigroup_report(spec, bump, 0.3, X)
+                apply_poisson(spec, bump, 1.0, X)
+            assert abs(got.value - heat2_bump_radial(bump, 0.6, X)) <= 5.0 * got.stderr + 1e-9
+            counts.append(sum(panels))
+            panels.clear()
+        assert max(counts) <= 3 * counts[0]
+
+    @pytest.mark.parametrize("spec", [heat(2), kolmogorov(1)], ids=["heat2", "kolmogorov1"])
+    def test_thin_plateau_rays_match_adaptive_quadrature(self, spec):
+        # off centre, rays pass the plateau of radius 1e-4 at distances d
+        # down to about 1e-4, where the radius has branch points d / |v|
+        # off the ray: each ray of the rule against an adaptive integral
+        t, X = 0.3, np.array([0.3, -0.2])
+        exp_tB, root = transition(spec, t)
+        mean = exp_tB @ X
+        bump = CompactBump(mean + np.array([0.02, 0.01]), 1e-4, 1.0)
+        got = apply_semigroup_report(spec, bump, t, X)
+        cap = math.sqrt(2.0 + 2.0 * math.sqrt(84.0) + 84.0)
+
+        def along(v):
+            m = mean - bump.center
+            a, b = v @ v, v @ m
+            points = [min(max(-b / a, 0.0), cap)]
+            for r in (1e-4, 1.0):
+                disc = b * b - a * (m @ m - r * r)
+                points += [min(max((-b + sign * math.sqrt(disc)) / a, 0.0), cap) for sign in (-1, 1) if disc > 0]
+            value, _ = integrate.quad(
+                lambda rho: bump.value(mean + rho * v) * rho * math.exp(-0.5 * rho * rho),
+                0.0, cap, points=sorted(set(points)), epsabs=1e-15, epsrel=1e-13, limit=200,
+            )
+            return value
+
+        means = [np.mean([along(root @ theta) for theta in design]) for design in rotated_design(2, DEFAULT_QUAD.rng_seed)]
+        assert got.value == pytest.approx(np.mean(means), rel=1e-12)
+        assert got.stderr == pytest.approx(np.std(means, ddof=1) / math.sqrt(MC_REPLICATES), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "spec, t, inside, bound",
+        [(kolmogorov(2), 41.0, True, 0.04), (CHAIN3, 0.19, False, 4e-4), (heat(3), 3.5e-6, False, 1e-7)],
+        ids=["kolmogorov2", "chain3", "heat3"],
+    )
+    def test_space_turns_resolve_a_narrow_factor(self, spec, t, inside, bound):
+        # a factor of width s (the widest standard deviation of the law) on a
+        # bump about the mean; a replicate of 65 536 draws per value, one
+        # sample per draw, spreads by about 0.1, 1e-3 and 3e-6 here
+        n = spec.dim
+        exp_tB, root = transition(spec, t)
+        s = float(np.max(np.abs(np.linalg.eigvalsh(root))))
+        X = min(s, 1.0) * np.linspace(0.6, -0.4, n)
+        u = np.ones(n) / math.sqrt(n)
+        center = exp_tB @ X + (0.3 * s * u if inside else 0.0)
+        radii = (12.0 * s, 14.0 * s) if inside else (s, 2.5 * s)
+        factor = gaussian(center + s * u, np.eye(n) / (4.0 * s * s), monomial=(1,) + (0,) * (n - 1))
+        f = ModulatedBump(CompactBump(center, *radii), factor)
+        got = apply_semigroup_report(spec, f, t, X)
+        want = whitened_reference(f, exp_tB @ X, root, order={3: 32, 4: 12}[n])
+        assert abs(got.value - want) <= 5.0 * got.stderr
+        assert got.stderr <= bound
 
     def test_bump_at_the_mean_of_a_degenerate_kernel_is_one(self):
         # at t = 1e-9 the kolmogorov(1) covariance has eigenvalues 2e-9 and
@@ -556,19 +633,20 @@ class TestMonteCarloFallback:
             got = apply_semigroup_report(spec, bump, t, X)
         assert got.value == 1.0 and got.stderr == 0.0
 
+    @pytest.mark.parametrize("r_in", [0.5, 1e-3], ids=["wide", "thin"])
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-    def test_centred_bump_is_the_chi_law(self, dim):
+    def test_centred_bump_is_the_chi_law(self, dim, r_in):
         # centred on the mean of heat(N) every ray reads the same radial
         # law: chi_N CDF on the plateau, the profile against the chi_N
-        # density on the transition
+        # density on the transition, in equal panels (wide) or graded ones
         spec, t, X = heat(dim), 0.3, np.full(dim, 0.2)
-        bump = CompactBump(X, 0.5, 1.6)
+        bump = CompactBump(X, r_in, 1.6)
         sigma = math.sqrt(2.0 * t)
         edge, _ = integrate.quad(
             lambda r: bump.value(X + np.eye(dim)[0] * r) * stats.chi.pdf(r / sigma, dim) / sigma,
-            0.5, 1.6, epsabs=1e-14, epsrel=1e-13,
+            r_in, 1.6, epsabs=1e-14, epsrel=1e-13,
         )
-        want = stats.chi.cdf(0.5 / sigma, dim) + edge
+        want = stats.chi.cdf(r_in / sigma, dim) + edge
         got = apply_semigroup_report(spec, bump, t, X)
         assert got.stderr <= 1e-15
         assert got.value == pytest.approx(want, rel=1e-13, abs=1e-15)

@@ -552,8 +552,8 @@ class TestMonteCarloFallback:
 
     def test_thin_plateau_costs_few_panels(self, monkeypatch):
         # transition stretches are graded out from the plateau, so a plateau
-        # of radius 1e-300 costs a few more panels per ray than a wide one,
-        # not r_out / r_in more, and overflows nothing
+        # of radius down to 5e-324 costs a few more panels per ray than a
+        # wide one, not r_out / r_in more, and overflows nothing
         panels = []
         profile = CompactBump.profile
         monkeypatch.setattr(CompactBump, "profile", lambda b, r2, out=None: panels.append(r2.size) or profile(b, r2, out))
@@ -606,8 +606,8 @@ class TestMonteCarloFallback:
     )
     def test_space_turns_resolve_a_narrow_factor(self, spec, t, inside, bound):
         # a factor of width s (the widest standard deviation of the law) on a
-        # bump about the mean; a replicate of 65 536 draws per value, one
-        # sample per draw, spreads by about 0.1, 1e-3 and 3e-6 here
+        # bump about the mean; each bound is below the stderr of plain Monte
+        # Carlo with 65 536 samples on its case (about 0.1, 1e-3 and 3e-6)
         n = spec.dim
         exp_tB, root = transition(spec, t)
         s = float(np.max(np.abs(np.linalg.eigvalsh(root))))

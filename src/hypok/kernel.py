@@ -137,21 +137,24 @@ def pseudo_distance(spec: OperatorSpec, X, Y, t) -> float:
 
     Vectorised over any leading axes of Y; X is a single point.
     Not symmetric in (X, Y) unless e^{tB} is orthogonal and commutes
-    with K(t), e.g. for the pure heat preset.
+    with K(t), e.g. for the pure heat preset.  The batch is taken
+    coordinate-major, d as one contiguous (N, M) array, so the
+    subtraction and the form run along the M points.
     """
     t = _check_time(t, T_MIN)
     g = _frame(spec, t)
     X = _point(X, spec.dim)
     Y = _points(Y, spec.dim)
-    d = Y - g.exp_tB @ X
-    q = _quad_form(g.inv_K_t, d)
+    d = np.subtract(Y.reshape(-1, spec.dim).T, (g.exp_tB @ X)[:, None], order="C")
+    q = np.einsum("ij,ij->j", g.inv_K_t @ d, d).reshape(Y.shape[:-1])
     out = np.sqrt(np.maximum(q, 0.0))
     # np.vdot warns of no overflow, unlike matmul: its sum is finite unless
     # an entry of q is not (or the sum overflows, and the mask below decides)
     if not (math.isfinite(np.vdot(q, q)) and q.min(initial=math.inf) >= 2.0**-970):
         out = np.array(out)
-        redo = ~((q >= 2.0**-970) & (q < math.inf)) & d.any(axis=-1)
-        out[redo] = _rescaled_m_t(g.inv_K_t, d[redo])
+        rows = d.T.reshape(Y.shape)
+        redo = ~((q >= 2.0**-970) & (q < math.inf)) & rows.any(axis=-1)
+        out[redo] = _rescaled_m_t(g.inv_K_t, rows[redo])
     return out if out.ndim else float(out)
 
 

@@ -27,8 +27,13 @@ Every tensor grid (Gauss-Legendre and uniform, for the norms) is summed
 in C-order blocks of at most ``GRID_BLOCK`` points, so no full grid is
 ever held in memory.  Blocks hold 8192 points, so a coordinate array
 (64 KB) stays below glibc's default 128 KB mmap threshold and its
-temporaries are reused from the heap.  A ray call holds at most
-``RAY_BLOCK`` ray panels of ``RAY_NODES`` nodes per temporary.
+temporaries are reused from the heap.  A ray call takes its (time, ray)
+pairs (whole times) and its panels RAY_BLOCK * RAY_NODES / 4 at a time,
+and evaluates ``RAY_BLOCK`` panels of ``RAY_NODES`` nodes per chunk, each
+polynomial of the panels in one small matmul against the powers of the
+nodes: a temporary of one value per node, or of up to max(4, N) per pair
+or panel, holds at most RAY_BLOCK * RAY_NODES floats, and one of points
+N times that.
 
 Kernel L^r norms over the first kernel slot are Gaussian integrals in
 closed form, value = c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r} with
@@ -285,20 +290,58 @@ def _directions(dim, rng_seed):
     return out
 
 
+# Chebyshev coefficients of erfcx(x) = e^{x^2} erfc(x) in t = (x - 2) / (x + 2)
+# on x >= 0 (Schonfelder 1978, Math. Comp. 32), from 50-digit mpmath values
+# at 200 Chebyshev points; the first one left out is 1.8e-18
+ERFCX_SERIES = (
+    0.37737609962585944, -0.4825091196506807, 0.12232459533097705, -0.017831149719276792,
+    0.00032117365249439837, 0.0003503952564796157, -2.243880650620326e-05,
+    -1.0537433119356064e-05, 5.671331132647553e-07, 4.297681576665876e-07,
+    5.104952512865141e-09, -1.8899699318179606e-08, -2.242755529856193e-09,
+    6.855254370550185e-10, 2.1487959525733994e-10, -5.515409718485674e-12,
+    -1.3477495048063454e-11, -2.0863894672105998e-12, 4.481881445148597e-13,
+    2.2684175777875652e-13, 1.8505867519748427e-14, -1.1509611397547722e-14,
+    -4.00989014707125e-15, -1.398284570577713e-16, 2.635380772175244e-16, 7.953987696969458e-17,
+    9.151033515544547e-19, -6.071172780200994e-18,
+)
+
+
+def _erfc(x):
+    """erfc(x) elementwise for finite x >= 0, within a few ulps: erfcx(x) by
+    Clenshaw's recurrence on ERFCX_SERIES, times e^{-x^2} taken as
+    e^{-h^2} e^{-(x - h)(x + h)}, h = x rounded down to 1/16, whose h^2 is
+    exact (x < 2^20), so the exponent loses no digits."""
+    t = (x - 2.0) / (x + 2.0)
+    twice, b1, b2 = 2.0 * t, 0.0, 0.0
+    for c in ERFCX_SERIES[:0:-1]:
+        b1, b2 = twice * b1 - b2 + c, b1
+    h = np.floor(16.0 * x) / 16.0
+    return np.exp(-h * h) * np.exp(-(x - h) * (x + h)) * (t * b1 - b2 + ERFCX_SERIES[0])
+
+
 def _chi_tail(dim, rho):
-    """P(|w| > rho), w ~ N(0, I_dim), rho >= 0: with x = rho^2 / 2 the sum of
-    x^j e^{-x} / Gamma(j + 1) over j = 0, 1, ... < dim / 2 (even dim), or
-    over j = 1/2, 3/2, ... < dim / 2 plus erfc(sqrt x) (odd dim)."""
+    """P(|w| > rho), w ~ N(0, I_dim), rho >= 0 finite: with x = rho^2 / 2 the
+    sum of x^j e^{-x} / Gamma(j + 1) over j = 0, 1, ... < dim / 2 (even dim),
+    or over j = 1/2, 3/2, ... < dim / 2 plus erfc(sqrt x) (odd dim)."""
     x = 0.5 * rho * rho
-    j = 0.5 * (dim % 2)
-    term = np.exp(-x) * np.sqrt(x) ** (2.0 * j) / math.gamma(j + 1.0)
-    erfc = [math.erfc(v) for v in np.sqrt(x).ravel().tolist()] if dim % 2 else None
-    total = np.reshape(erfc, x.shape) if dim % 2 else 0.0
+    total, term, j = 0.0, np.exp(-x), 0.5 * (dim % 2)
+    if dim % 2:
+        root = np.sqrt(x)
+        total, term = _erfc(root), term * root / math.gamma(1.5)
     while j < 0.5 * dim:
         total = total + term
         j += 1.0
-        term = term * x / j
+        if j < 0.5 * dim:
+            term = term * x / j
     return total
+
+
+def _panel_count(length, z):
+    """Panels of length at most z on stretches of signed ``length``: 0 on
+    an empty stretch, at least 1 on any other; inf past the float range or
+    where z underflowed to 0 (a thin plateau's, which its block grades)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.fmax(np.ceil(np.abs(length) / z), length != 0.0)
 
 
 def _ball_span(a, b, d):
@@ -307,8 +350,9 @@ def _ball_span(a, b, d):
     disc = b * b - a * d
     hit = (d <= 0.0) | ((b < 0.0) & (disc >= 0.0))
     s = np.sqrt(np.maximum(disc, 0.0))
+    diff = s - b
     with np.errstate(divide="ignore", invalid="ignore"):
-        return hit, np.where(d > 0.0, d / (s - b), 0.0), np.where(b > 0.0, -d / (s + b), (s - b) / a)
+        return hit, np.where(d > 0.0, d / diff, 0.0), np.where(b > 0.0, -d / (s + b), diff / a)
 
 
 def _mc_means(f, mus, roots, quad):
@@ -332,6 +376,21 @@ def _mc_means(f, mus, roots, quad):
     own distance from the branch points, up to the radius where that
     reaches the longest panel, in equal panels beyond; a plateau
     r_in << r_out then costs about log(r_out / r_in) panels.
+
+    Grading only places the panel ends, so on every panel rho = mid +
+    half x is affine in the Gauss-Legendre node x, and |m + rho v|^2,
+    -rho^2 / 2, rho^(N-1) and a factor's points mu + rho v are
+    polynomials in x.  A window of panels gets one coefficient row per
+    panel and polynomial, and each chunk of RAY_BLOCK of its panels
+    evaluates a polynomial of k coefficients at all RAY_NODES nodes as
+    one (RAY_NODES, k) by (k, RAY_BLOCK) matmul against the powers of the
+    nodes; the chi_N normalisation rides on the node weights.  A group of
+    sub-stretches that hold one panel each takes its windows straight
+    from the nonzero ones.  Set-up blocks (whole times, or one time whose
+    rays alone are more) and windows hold at most RAY_BLOCK * RAY_NODES
+    / 4 pairs or panels, so with at most max(4, N) rows per pair or
+    panel they keep to the RAY_BLOCK * RAY_NODES floats of a chunk's node
+    arrays, points excepted (N coordinates each).
     """
     K, n = mus.shape
     bump, factor = (f.bump, f.f) if isinstance(f, ModulatedBump) else (f, None)
@@ -341,16 +400,20 @@ def _mc_means(f, mus, roots, quad):
     # Ann. Statist. 28: P(|w|^2 >= N + 2 sqrt(N x) + 2 x) <= e^{-x})
     rays, cap = dirs.shape[0], math.sqrt(n + 2.0 * math.sqrt(42.0 * n) + 84.0)
     x, w = _rule(_leggauss, RAY_NODES)
-    log_norm = (0.5 * n - 1.0) * math.log(2.0) + math.lgamma(0.5 * n)
+    # powers[i, j] = x_i^j; the chi_N density's 2^{N/2-1} Gamma(N/2) rides on w
+    powers = x[:, None] ** np.arange(max(n, 3))
+    w = w * math.exp(-(0.5 * n - 1.0) * math.log(2.0) - math.lgamma(0.5 * n))
+    rows = RAY_BLOCK * RAY_NODES // 4
     sums = np.empty((K, rays))
-    step = max(RAY_BLOCK // rays, 1)
+    step = max(rows // rays, 1)
     for first in range(0, K, step):
         blk = slice(first, min(first + step, K))
         m = mus[blk] - bump.center
-        V = dirs @ roots[blk]  # rows (A theta)', A symmetric
-        a = np.einsum("krn,krn->kr", V, V)
-        b = (V @ m[:, :, None])[..., 0]
+        # V[k, i, r] = (A_k theta_r)_i, one matmul as A_k is symmetric
+        V = (roots[blk].reshape(-1, n) @ dirs.T).reshape(-1, n, rays)
+        a, b = np.einsum("kir,kir->kr", V, V), np.einsum("kir,ki->kr", V, m)
         c0 = np.einsum("kn,kn->k", m, m)[:, None]
+        c0_pair = np.repeat(c0[:, 0], rays)
         hit, e0, e3 = _ball_span(a, b, c0 - r_out**2)
         e0 = np.where(hit, np.minimum(e0, cap), 0.0)
         e3 = np.where(hit, np.fmax(np.fmin(e3, cap), e0), e0)
@@ -365,70 +428,95 @@ def _mc_means(f, mus, roots, quad):
         else:
             # a factor term e^{-<S(y - c), y - c>} narrows e^{-rho^2/2} to
             # e^{-(1/2 + v'Sv) rho^2} along the ray v = A theta
-            curv = reduce(np.maximum, (np.einsum("krn,nm,krm->kr", V, t.shape, V) for t in factor.terms))
+            curv = reduce(np.maximum, ((V * (t.shape @ V)).sum(axis=1) for t in factor.terms))
             span = RAY_PANEL / np.sqrt(1.0 + 2.0 * curv)
             acc = np.zeros(a.shape)
+            ray_v = V.transpose(0, 2, 1).reshape(-1, n)
 
         # the falling stretch [e0, e1] and the rising [e2, e3] from their
         # near ends, in equal panels or graded ones (see the docstring)
         near, far = np.stack([e1, e2]), np.stack([e0, e3])
         with np.errstate(divide="ignore"):
             unit = np.minimum(2.0 * r_in / np.sqrt(a), span)
-        graded = np.any(np.abs(far - near) > RAY_EQUAL_MAX * unit)
-        mid = near
-        if graded:
+        # sub-stretch groups (lo, length, panels, warp): the transition
+        # stretches in equal panels, unless they would need more than
+        # RAY_EQUAL_MAX, and a ModulatedBump's plateau
+        groups = [(near, far - near, None)]
+        if factor is not None:
+            groups.append((e1[None], (e2 - e1)[None], None))
+        groups = [(lo, length, _panel_count(length, z), warp)
+                  for (lo, length, warp), z in zip(groups, (unit, span))]
+        if groups[0][2].max() > RAY_EQUAL_MAX:
             # radii below 1e-300 r_out count as 1e-300 r_out, so e^u stays
             # finite; u past the near end is rho = near + scale expm1(u)
             # (1 + q2 e^-u)
-            R = np.stack([near, far])
-            R = np.sqrt(np.maximum((a * R + 2.0 * b) * R + c0, 0.0))
-            R = np.clip(R, max(r_in, 1e-300 * r_out), r_out)
-            R = np.stack([R[0], np.clip(0.5 * span * np.sqrt(a), R[0], R[1]), np.maximum(R[0], R[1])])
+            R0, R2 = (np.sqrt(np.maximum((a * e + 2.0 * b) * e + c0, 0.0)) for e in (near, far))
+            R0, R2 = (np.clip(R, max(r_in, 1e-300 * r_out), r_out) for R in (R0, R2))
+            R1, R2 = np.clip(0.5 * span * np.sqrt(a), R0, R2), np.maximum(R0, R2)
             with np.errstate(divide="ignore", invalid="ignore"):
                 d = np.sqrt(np.fmax(c0 - b * b / a, 0.0))
-                W = R * (1.0 + np.sqrt(np.maximum(1.0 - (d / R) ** 2, 0.0)))
-                scale = np.array([-0.5, 0.5])[:, None, None] * W[0] / np.sqrt(a)
-            steps, u_far = np.ceil(np.log(W[1] / W[0]) / LOG3), np.log(W[2] / W[0])
-            q2 = (d / W[0]) ** 2
+                W0, W1, W2 = (R * (1.0 + np.sqrt(np.maximum(1.0 - (d / R) ** 2, 0.0))) for R in (R0, R1, R2))
+                scale = np.array([-0.5, 0.5])[:, None, None] * W0 / np.sqrt(a)
+            # at least 0 steps where cancellation leaves the near radius the larger
+            steps, u_far = np.maximum(np.ceil(np.log(W1 / W0) / LOG3), 0.0), np.log(W2 / W0)
+            q2 = (d / W0) ** 2
             mid = near + scale * np.expm1(steps * LOG3) * (1.0 + q2 * np.exp(-steps * LOG3))
-            mid, unit = np.where(steps * LOG3 < u_far, np.where(steps > 0.0, mid, near), far), span
-        # sub-stretch s (graded, equal, a ModulatedBump's plateau) runs from
-        # lo[s] in count[s] panels of size[s] in u (graded) or in rho
-        lo, hi = [mid, e1[None]][: 1 if factor is None else 2], [far, e2[None]]
-        count = [np.where(h != l, np.fmax(np.ceil(np.abs(h - l) / z), 1.0), 0.0)
-                 for l, h, z in zip(lo, hi, (unit, span))]
-        size = [(h - l) / np.fmax(c, 1.0) for l, h, c in zip(lo, hi, count)]
-        if graded:
-            lo.insert(0, near)
-            count.insert(0, np.where(near != far, np.minimum(steps, np.ceil(u_far / LOG3)), 0.0))
-            size.insert(0, np.minimum(steps * LOG3, u_far) / np.fmax(count[0], 1.0))
-        lo, size, count = (np.concatenate(z).reshape(-1) for z in (lo, size, count))
-        if graded:
-            scale, q2 = (np.pad(z.reshape(-1), (0, lo.size - z.size)) for z in (scale, q2))
-        count = count.astype(np.intp)
-        total = np.cumsum(count)
-        flat_acc, flat_V = acc.reshape(-1), V.reshape(-1, n)
-        for c in range(0, int(total[-1]), RAY_BLOCK):
-            p = np.arange(c, min(c + RAY_BLOCK, int(total[-1])))
-            s = np.searchsorted(total, p, side="right")
-            o, j = s % a.size, p - total[s] + count[s]
-            ends = np.stack([j, j + 1]) * size[s]
-            if graded:
-                # u to rho on the graded sub-stretches, the first 2 a.size
-                mapped = scale[s] * np.expm1(ends) * (1.0 + q2[s] * np.exp(-ends))
-                ends = np.where(s < 2 * a.size, mapped, ends)
-            ends += lo[s]
-            half = 0.5 * (ends[1] - ends[0])
-            rho = (ends[0] + half)[:, None] + half[:, None] * x
-            q = (a.reshape(-1)[o, None] * rho + 2.0 * b.reshape(-1)[o, None]) * rho + c0[o // rays]
-            vals = bump.profile(q) * np.exp(-0.5 * rho * rho - log_norm)
-            if n > 1:
-                vals *= rho ** (n - 1)
-            if factor is not None:
-                Y = rho[:, :, None] * flat_V[o][:, None, :]
-                Y += mus[blk][o // rays][:, None, :]
-                vals *= factor.value(Y)
-            flat_acc += np.bincount(o, weights=(vals @ w) * np.abs(half), minlength=flat_acc.size)
+            mid = np.where(steps * LOG3 < u_far, np.where(steps > 0.0, mid, near), far)
+            count = np.where(near != far, np.minimum(steps, np.ceil(u_far / LOG3)), 0.0)
+            groups[0] = (mid, far - mid, _panel_count(far - mid, span), None)
+            groups.insert(0, (near, np.minimum(steps * LOG3, u_far), count, (scale, q2)))
+        flat_acc = acc.reshape(-1)
+        for lo, length, count, warp in groups:
+            # sub-stretch s runs from lo[s] in count[s] equal panels of its
+            # length, in u when warped to rho, in rho otherwise
+            lo, length, count = lo.reshape(-1), length.reshape(-1), count.reshape(-1)
+            single = count.max() <= 1.0
+            filled, total = (np.flatnonzero(count), None) if single else (None, np.cumsum(count))
+            for c in range(0, filled.size if single else int(total[-1]), rows):
+                # the window's panels: sub-stretch s, and panel j of it
+                if single:
+                    s = filled[c : c + rows]
+                    start, stop = 0.0, length[s]
+                else:
+                    end = min(c + rows, int(total[-1]))
+                    s0, s1 = np.searchsorted(total, [c, end - 1], side="right")
+                    starts = total[s0 : s1 + 1] - count[s0 : s1 + 1]
+                    reps = np.minimum(total[s0 : s1 + 1], end) - np.maximum(starts, c)
+                    s = np.repeat(np.arange(s0, s1 + 1), reps.astype(np.intp))
+                    j, size = np.arange(c, end) - starts[s - s0], length[s] / count[s]
+                    start, stop = j * size, (j + 1.0) * size
+                if warp is not None:
+                    scale_s, q2_s = warp[0].reshape(-1)[s], warp[1].reshape(-1)[s]
+                    start, stop = (scale_s * np.expm1(e) * (1.0 + q2_s * np.exp(-e)) for e in (start, stop))
+                lo_s = lo[s]
+                start, stop = start + lo_s, stop + lo_s
+                half = 0.5 * (stop - start)
+                mid_s = start + half
+                # rho = mid_s + half x: coefficient rows of |m + rho v|^2,
+                # -rho^2 / 2 and rho^(N-1) in powers of x
+                o = s % a.size
+                a_o, b_o = a.reshape(-1)[o], b.reshape(-1)[o]
+                am, square = a_o * mid_s + b_o, half * half
+                quad_c = np.stack([(am + b_o) * mid_s + c0_pair[o], 2.0 * half * am, a_o * square])
+                gauss_c = np.stack([-0.5 * mid_s * mid_s, -mid_s * half, -0.5 * square])
+                radial_c = [mid_s, half] if n == 2 else [
+                    math.comb(n - 1, i) * mid_s ** (n - 1 - i) * half**i for i in range(n)]
+                radial_c = np.stack(radial_c)
+                if factor is not None:
+                    v = ray_v[o]
+                    point_c = np.stack([mus[blk][o // rays] + mid_s[:, None] * v, half[:, None] * v])
+                panel = np.empty(s.size)
+                for c2 in range(0, s.size, RAY_BLOCK):
+                    cols = slice(c2, c2 + RAY_BLOCK)
+                    vals = bump.profile(powers[:, :3] @ quad_c[:, cols])
+                    gauss = powers[:, :3] @ gauss_c[:, cols]
+                    vals *= np.exp(gauss, out=gauss)
+                    vals *= powers[:, :n] @ radial_c[:, cols]
+                    if factor is not None:
+                        pts = point_c[:, cols]
+                        vals *= factor.value((powers[:, :2] @ pts.reshape(2, -1)).reshape(RAY_NODES, -1, n))
+                    panel[cols] = w @ vals
+                flat_acc += np.bincount(o, weights=panel * np.abs(half), minlength=a.size)
         sums[blk] = acc
     return sums.reshape(K, MC_REPLICATES, -1).mean(axis=2)
 

@@ -279,6 +279,106 @@ def heat2_bump_radial(bump, var, X):
     return 1.0 - edge - stats.rice.sf(r_out, rho / sigma, scale=sigma)
 
 
+def per_point_means(f, mus, roots, quad):
+    """The ray rule's replicate means, evaluated point by point.
+
+    A copy of the rule's set-up (stretch ends, equal or graded panels) in
+    blocks of 2048 pairs, with each chunk of panels evaluated at its
+    nodes rho = mid + half x one point at a time: the squared radius, the
+    chi_N density and a factor's points from rho itself, and the odd-N
+    chi tail through math.erfc.
+    """
+    K, n = mus.shape
+    bump, factor = (f.bump, f.f) if isinstance(f, ModulatedBump) else (f, None)
+    r_in, r_out = bump.inner_radius, bump.outer_radius
+    dirs = _directions(n, quad.rng_seed)
+    rays, cap = dirs.shape[0], math.sqrt(n + 2.0 * math.sqrt(42.0 * n) + 84.0)
+    x, w = semigroup_module._rule(semigroup_module._leggauss, semigroup_module.RAY_NODES)
+    log_norm = (0.5 * n - 1.0) * math.log(2.0) + math.lgamma(0.5 * n)
+    ball_span, log3 = semigroup_module._ball_span, math.log(3.0)
+
+    def chi_tail(rho):
+        x2 = 0.5 * rho * rho
+        j = 0.5 * (n % 2)
+        term = np.exp(-x2) * np.sqrt(x2) ** (2.0 * j) / math.gamma(j + 1.0)
+        total = np.reshape([math.erfc(v) for v in np.sqrt(x2).ravel().tolist()], x2.shape) if n % 2 else 0.0
+        while j < 0.5 * n:
+            total, j = total + term, j + 1.0
+            term = term * x2 / j
+        return total
+
+    sums = np.empty((K, rays))
+    step = max(2048 // rays, 1)
+    for first in range(0, K, step):
+        blk = slice(first, min(first + step, K))
+        m = mus[blk] - bump.center
+        V = dirs @ roots[blk]
+        a, b = np.einsum("krn,krn->kr", V, V), (V @ m[:, :, None])[..., 0]
+        c0 = np.einsum("kn,kn->k", m, m)[:, None]
+        hit, e0, e3 = ball_span(a, b, c0 - r_out**2)
+        e0 = np.where(hit, np.minimum(e0, cap), 0.0)
+        e3 = np.where(hit, np.fmax(np.fmin(e3, cap), e0), e0)
+        hit, e1, e2 = ball_span(a, b, c0 - r_in**2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = np.fmax(np.fmin(-b / a, e3), e0)
+        e1 = np.where(hit, np.fmin(np.fmax(e1, e0), e3), vertex)
+        e2 = np.where(hit, np.fmax(np.fmin(e2, e3), e1), vertex)
+        if factor is None:
+            acc, span = chi_tail(e1) - chi_tail(e2), 2.0
+        else:
+            curv = reduce(np.maximum, (np.einsum("krn,nm,krm->kr", V, t.shape, V) for t in factor.terms))
+            acc, span = np.zeros(a.shape), 2.0 / np.sqrt(1.0 + 2.0 * curv)
+        near, far = np.stack([e1, e2]), np.stack([e0, e3])
+        with np.errstate(divide="ignore"):
+            unit = np.minimum(2.0 * r_in / np.sqrt(a), span)
+        graded = np.any(np.abs(far - near) > 16 * unit)
+        mid = near
+        if graded:
+            R = np.stack([near, far])
+            R = np.sqrt(np.maximum((a * R + 2.0 * b) * R + c0, 0.0))
+            R = np.clip(R, max(r_in, 1e-300 * r_out), r_out)
+            R = np.stack([R[0], np.clip(0.5 * span * np.sqrt(a), R[0], R[1]), np.maximum(R[0], R[1])])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d = np.sqrt(np.fmax(c0 - b * b / a, 0.0))
+                W = R * (1.0 + np.sqrt(np.maximum(1.0 - (d / R) ** 2, 0.0)))
+                scale = np.array([-0.5, 0.5])[:, None, None] * W[0] / np.sqrt(a)
+            steps, u_far = np.ceil(np.log(W[1] / W[0]) / log3), np.log(W[2] / W[0])
+            q2 = (d / W[0]) ** 2
+            mid = near + scale * np.expm1(steps * log3) * (1.0 + q2 * np.exp(-steps * log3))
+            mid, unit = np.where(steps * log3 < u_far, np.where(steps > 0.0, mid, near), far), span
+        lo, hi = [mid, e1[None]][: 1 if factor is None else 2], [far, e2[None]]
+        count = [np.where(h != l, np.fmax(np.ceil(np.abs(h - l) / z), 1.0), 0.0) for l, h, z in zip(lo, hi, (unit, span))]
+        size = [(h - l) / np.fmax(c, 1.0) for l, h, c in zip(lo, hi, count)]
+        if graded:
+            lo.insert(0, near)
+            count.insert(0, np.where(near != far, np.minimum(steps, np.ceil(u_far / log3)), 0.0))
+            size.insert(0, np.minimum(steps * log3, u_far) / np.fmax(count[0], 1.0))
+        lo, size, count = (np.concatenate(z).reshape(-1) for z in (lo, size, count))
+        if graded:
+            scale, q2 = (np.pad(z.reshape(-1), (0, lo.size - z.size)) for z in (scale, q2))
+        count = count.astype(np.intp)
+        total = np.cumsum(count)
+        flat_acc, flat_V = acc.reshape(-1), V.reshape(-1, n)
+        for c in range(0, int(total[-1]), 2048):
+            p = np.arange(c, min(c + 2048, int(total[-1])))
+            s = np.searchsorted(total, p, side="right")
+            o, j = s % a.size, p - total[s] + count[s]
+            ends = np.stack([j, j + 1]) * size[s]
+            if graded:
+                mapped = scale[s] * np.expm1(ends) * (1.0 + q2[s] * np.exp(-ends))
+                ends = np.where(s < 2 * a.size, mapped, ends)
+            ends += lo[s]
+            half = 0.5 * (ends[1] - ends[0])
+            rho = (ends[0] + half)[:, None] + half[:, None] * x
+            q = (a.reshape(-1)[o, None] * rho + 2.0 * b.reshape(-1)[o, None]) * rho + c0[o // rays]
+            vals = bump.profile(q) * np.exp(-0.5 * rho * rho - log_norm) * rho ** (n - 1)
+            if factor is not None:
+                vals *= factor.value(rho[:, :, None] * flat_V[o][:, None, :] + mus[blk][o // rays][:, None, :])
+            flat_acc += np.bincount(o, weights=(vals @ w) * np.abs(half), minlength=flat_acc.size)
+        sums[blk] = acc
+    return sums.reshape(K, MC_REPLICATES, -1).mean(axis=2)
+
+
 class TestApplySemigroup:
     def test_matches_exact_oracle(self):
         # the closed form is the oracle; a 60-point tensor rule confirms it
@@ -621,6 +721,83 @@ class TestMonteCarloFallback:
         want = whitened_reference(f, exp_tB @ X, root, order={3: 32, 4: 12}[n])
         assert abs(got.value - want) <= 5.0 * got.stderr
         assert got.stderr <= bound
+
+    @staticmethod
+    def poisson_grid_args(monkeypatch, spec, f, z, X):
+        """The (f, mus, roots, quad) of the one ray-rule pass of a Poisson call."""
+        seen, means = [], semigroup_module._mc_means
+        monkeypatch.setattr(semigroup_module, "_mc_means", lambda *args: seen.append(args) or means(*args))
+        apply_poisson(spec, f, z, X)
+        monkeypatch.undo()
+        (args,) = seen
+        return args
+
+    @pytest.mark.parametrize(
+        "spec, kind",
+        [
+            (heat(1), "plain"), (heat(1), "modulated"),
+            (kolmogorov(1), "plain"), (kolmogorov(1), "modulated"), (kolmogorov(1), "thin"),
+            (heat(3), "plain"), (CHAIN3, "modulated"), (heat(3), "thin"),
+            (kolmogorov(2), "plain"), (kolmogorov(2), "modulated"),
+            (heat(2), "poisson"), (heat(2), "thin-poisson"),
+        ],
+        ids=[
+            "heat1-plain", "heat1-modulated", "kolmogorov1-plain", "kolmogorov1-modulated", "kolmogorov1-thin",
+            "heat3-plain", "chain3-modulated", "heat3-thin", "kolmogorov2-plain", "kolmogorov2-modulated",
+            "heat2-poisson", "heat2-thin-poisson",
+        ],
+    )
+    def test_polynomial_panels_match_per_point_route(self, monkeypatch, spec, kind):
+        # the coefficient rows and node matmuls against the rule evaluated
+        # point by point on its own panels: a plain, a modulated (two-term
+        # factor) and a graded thin-plateau bump at three times, and the
+        # 201-time grid of a Poisson call
+        n = spec.dim
+        X = np.linspace(-0.3, 0.4, n)
+        bump = CompactBump(np.linspace(0.2, -0.1, n), 1e-6 if "thin" in kind else 0.45, 1.3)
+        factor = gaussian(np.full(n, -0.2), 0.8 * np.eye(n), monomial=(1,) + (0,) * (n - 1))
+        factor = factor + 0.5 * gaussian(np.full(n, 0.3), 2.5 * np.eye(n))
+        f = ModulatedBump(bump, factor) if kind == "modulated" else bump
+        if "poisson" in kind:
+            args = self.poisson_grid_args(monkeypatch, spec, f, 0.8, X)
+            assert args[1].shape[0] == 201
+        else:
+            exp_tB, _, _, tK, _, _ = _block_gramians(spec, np.array([0.05, 0.7, 3.0]))
+            args = (f, exp_tB @ X, sym_sqrt(2.0 * tK), DEFAULT_QUAD)
+        want = per_point_means(*args)
+        got = semigroup_module._mc_means(*args)
+        assert got.shape == want.shape == (args[1].shape[0], MC_REPLICATES)
+        assert_allclose(got, want, rtol=1e-14, atol=1e-16)
+
+    def test_chunks_hold_at_most_ray_block_nodes(self, monkeypatch):
+        # every bump evaluation of the rule, over a Poisson grid, an N = 4
+        # value, a thin plateau and a modulated bump, is one chunk of at
+        # most RAY_BLOCK panels of RAY_NODES nodes
+        sizes = []
+        profile = CompactBump.profile
+        monkeypatch.setattr(CompactBump, "profile", lambda b, r2, out=None: sizes.append(r2.size) or profile(b, r2, out))
+        apply_poisson(heat(2), CompactBump(np.array([0.2, -0.1]), 0.5, 1.2), 0.8, np.zeros(2))
+        apply_semigroup_report(kolmogorov(2), CompactBump(np.full(4, 0.1), 0.5, 1.5), 0.7, np.zeros(4))
+        apply_semigroup_report(heat(3), CompactBump(np.full(3, 0.1), 1e-6, 1.5), 0.7, np.zeros(3))
+        factor = gaussian(np.full(2, 0.3), 0.5 * np.eye(2))
+        apply_semigroup_report(kolmogorov(1), ModulatedBump(CompactBump(np.zeros(2), 0.5, 1.5), factor), 0.7, np.zeros(2))
+        assert max(sizes) == semigroup_module.RAY_BLOCK * semigroup_module.RAY_NODES
+        assert sum(sizes) > 4 * max(sizes)
+
+    def test_cancelled_radii_grade_no_panels(self, monkeypatch):
+        # at the cap time of a Poisson grid on kolmogorov(1) the mean is
+        # about 1e8 out, and cancellation can leave a stretch's near radius
+        # above its far one: no graded panels there, and the grid's blocks
+        # agree with its times taken one by one
+        spec, X, bump = kolmogorov(1), np.array([0.3, -0.2]), CompactBump(np.array([0.1, 0.2]), 1e-6, 1.4)
+        f, mus, roots, quad = self.poisson_grid_args(monkeypatch, spec, bump, 0.6, X)
+        alone = [semigroup_module._mc_means(f, mus[i : i + 1], roots[i : i + 1], quad) for i in range(mus.shape[0])]
+        assert_allclose(semigroup_module._mc_means(f, mus, roots, quad), np.concatenate(alone), rtol=1e-14, atol=1e-16)
+
+    def test_erfc_series_matches_math_erfc(self):
+        x = np.concatenate([np.linspace(0.0, 12.0, 24001), np.random.default_rng(3).uniform(0.0, 12.0, 4000)])
+        want = np.array([math.erfc(v) for v in x.tolist()])
+        assert_allclose(semigroup_module._erfc(x), want, rtol=1e-14, atol=0.0)
 
     def test_bump_at_the_mean_of_a_degenerate_kernel_is_one(self):
         # at t = 1e-9 the kolmogorov(1) covariance has eigenvalues 2e-9 and

@@ -27,13 +27,10 @@ Every tensor grid (Gauss-Legendre and uniform, for the norms) is summed
 in C-order blocks of at most ``GRID_BLOCK`` points, so no full grid is
 ever held in memory.  Blocks hold 8192 points, so a coordinate array
 (64 KB) stays below glibc's default 128 KB mmap threshold and its
-temporaries are reused from the heap.  A ray call takes its (time, ray)
-pairs (whole times) and its panels RAY_BLOCK * RAY_NODES / 4 at a time,
-and evaluates ``RAY_BLOCK`` panels of ``RAY_NODES`` nodes per chunk, each
-polynomial of the panels in one small matmul against the powers of the
-nodes: a temporary of one value per node, or of up to max(4, N) per pair
-or panel, holds at most RAY_BLOCK * RAY_NODES floats, and one of points
-N times that.
+temporaries are reused from the heap.  A ray call evaluates
+``RAY_BLOCK`` panels of ``RAY_NODES`` nodes per chunk, one small matmul
+per polynomial, and holds no other temporary of more than
+RAY_BLOCK * RAY_NODES floats per coordinate (see :func:`_mc_means`).
 
 Kernel L^r norms over the first kernel slot are Gaussian integrals in
 closed form, value = c_{N,r} V(t)^{-(1-1/r)} e^{-t tr B / r} with
@@ -380,17 +377,15 @@ def _mc_means(f, mus, roots, quad):
     Grading only places the panel ends, so on every panel rho = mid +
     half x is affine in the Gauss-Legendre node x, and |m + rho v|^2,
     -rho^2 / 2, rho^(N-1) and a factor's points mu + rho v are
-    polynomials in x.  A window of panels gets one coefficient row per
-    panel and polynomial, and each chunk of RAY_BLOCK of its panels
-    evaluates a polynomial of k coefficients at all RAY_NODES nodes as
-    one (RAY_NODES, k) by (k, RAY_BLOCK) matmul against the powers of the
-    nodes; the chi_N normalisation rides on the node weights.  A group of
-    sub-stretches that hold one panel each takes its windows straight
-    from the nonzero ones.  Set-up blocks (whole times, or one time whose
-    rays alone are more) and windows hold at most RAY_BLOCK * RAY_NODES
-    / 4 pairs or panels, so with at most max(4, N) rows per pair or
-    panel they keep to the RAY_BLOCK * RAY_NODES floats of a chunk's node
-    arrays, points excepted (N coordinates each).
+    polynomials in x: a window of panels gets one coefficient row per
+    panel and polynomial, and a chunk of RAY_BLOCK of them evaluates a
+    polynomial of k coefficients as one (RAY_NODES, k) by (k, RAY_BLOCK)
+    matmul against the powers of the nodes.  Set-up blocks (whole times,
+    one time when its rays are more) and windows hold at most
+    RAY_BLOCK * RAY_NODES / 4 pairs or panels, so a temporary of up to
+    four floats per pair or panel, like a chunk's node values, holds at
+    most RAY_BLOCK * RAY_NODES floats, and one of N coordinates N times
+    that.
     """
     K, n = mus.shape
     bump, factor = (f.bump, f.f) if isinstance(f, ModulatedBump) else (f, None)

@@ -404,7 +404,7 @@ def _mc_means(f, mus, roots, quad):
     for first in range(0, K, step):
         blk = slice(first, min(first + step, K))
         m = mus[blk] - bump.center
-        # V[k, i, r] = (A_k theta_r)_i, one matmul as A_k is symmetric
+        # V[k, i, r] = (A_k theta_r)_i in one matmul
         V = (roots[blk].reshape(-1, n) @ dirs.T).reshape(-1, n, rays)
         a, b = np.einsum("kir,kir->kr", V, V), np.einsum("kir,ki->kr", V, m)
         c0 = np.einsum("kn,kn->k", m, m)[:, None]
@@ -465,21 +465,16 @@ def _mc_means(f, mus, roots, quad):
             # sub-stretch s runs from lo[s] in count[s] equal panels of its
             # length, in u when warped to rho, in rho otherwise
             lo, length, count = lo.reshape(-1), length.reshape(-1), count.reshape(-1)
-            single = count.max() <= 1.0
-            filled, total = (np.flatnonzero(count), None) if single else (None, np.cumsum(count))
-            for c in range(0, filled.size if single else int(total[-1]), rows):
+            total = np.cumsum(count)
+            for c in range(0, int(total[-1]), rows):
                 # the window's panels: sub-stretch s, and panel j of it
-                if single:
-                    s = filled[c : c + rows]
-                    start, stop = 0.0, length[s]
-                else:
-                    end = min(c + rows, int(total[-1]))
-                    s0, s1 = np.searchsorted(total, [c, end - 1], side="right")
-                    starts = total[s0 : s1 + 1] - count[s0 : s1 + 1]
-                    reps = np.minimum(total[s0 : s1 + 1], end) - np.maximum(starts, c)
-                    s = np.repeat(np.arange(s0, s1 + 1), reps.astype(np.intp))
-                    j, size = np.arange(c, end) - starts[s - s0], length[s] / count[s]
-                    start, stop = j * size, (j + 1.0) * size
+                end = min(c + rows, int(total[-1]))
+                s0, s1 = np.searchsorted(total, [c, end - 1], side="right")
+                starts = total[s0 : s1 + 1] - count[s0 : s1 + 1]
+                reps = np.minimum(total[s0 : s1 + 1], end) - np.maximum(starts, c)
+                s = np.repeat(np.arange(s0, s1 + 1), reps.astype(np.intp))
+                j, size = np.arange(c, end) - starts[s - s0], length[s] / count[s]
+                start, stop = j * size, (j + 1.0) * size
                 if warp is not None:
                     scale_s, q2_s = warp[0].reshape(-1)[s], warp[1].reshape(-1)[s]
                     start, stop = (scale_s * np.expm1(e) * (1.0 + q2_s * np.exp(-e)) for e in (start, stop))
@@ -494,9 +489,7 @@ def _mc_means(f, mus, roots, quad):
                 am, square = a_o * mid_s + b_o, half * half
                 quad_c = np.stack([(am + b_o) * mid_s + c0_pair[o], 2.0 * half * am, a_o * square])
                 gauss_c = np.stack([-0.5 * mid_s * mid_s, -mid_s * half, -0.5 * square])
-                radial_c = [mid_s, half] if n == 2 else [
-                    math.comb(n - 1, i) * mid_s ** (n - 1 - i) * half**i for i in range(n)]
-                radial_c = np.stack(radial_c)
+                radial_c = np.stack([math.comb(n - 1, i) * mid_s ** (n - 1 - i) * half**i for i in range(n)])
                 if factor is not None:
                     v = ray_v[o]
                     point_c = np.stack([mus[blk][o // rays] + mid_s[:, None] * v, half[:, None] * v])

@@ -8,6 +8,10 @@ randomised spherical-radial rule (Deak 1980, Numer. Math. 35; Genz and
 Monahan 1998, SIAM J. Sci. Comput. 19): E f(mu + A w) with w = rho theta
 is exact along each ray to roundoff, and only the directions theta are
 random, Philox-seeded rotations of one fixed design shared by every call.
+Each ray's squared radius about the bump centre is taken in vertex form,
+p^2 + |A theta|^2 (rho - rho*)^2 with the distance p formed at the vertex
+rho* itself, so the ray's crossings of the bump's radii stay exact however
+far the transition mean lies from the bump.
 The Poisson semigroup is subordinated to P_t with the time axis split at
 t = z^2 and mapped onto (0, 1] on each side, so both the flat short-time
 end and the algebraic long-time decay are analytic in the quadrature
@@ -202,46 +206,30 @@ def _rule(rule, order):
     return nodes, weights
 
 
-@lru_cache(maxsize=32)
-def _tail_grid(rule, order, dim):
-    """Coordinates (m, order^m) and weights of the last m axes of the grid.
-
-    m is the largest count of trailing axes, at most dim - 1, whose grid
-    fits in one block of GRID_BLOCK points.
-    """
-    nodes, weights = _rule(rule, order)
-    m = 0
-    while m < dim - 1 and order ** (m + 1) <= GRID_BLOCK:
-        m += 1
-    coords = nodes[np.indices((order,) * m).reshape(m, order**m)]
-    w = reduce(np.multiply.outer, [weights] * m, np.ones(())).ravel()
-    coords.setflags(write=False)
-    w.setflags(write=False)
-    return coords, w
-
-
 def _grid_blocks(rule, order, dim, scale=1.0):
     """Yield the tensor grid of a 1-D rule on scale * [nodes]^dim in blocks.
 
     Blocks follow C order (first axis slowest), hold at most GRID_BLOCK
     points each and come with their product weights.  Each block is a
-    run of leading-axis positions crossed with the tail grid.  The
-    ``(M, dim)`` points are column-major, so elementwise work on them
-    runs along M rather than along the short coordinate axis.  Every
-    block is a read-only view of one buffer that the next block
-    overwrites; only the leading coordinates change between blocks.
+    run of leading-axis positions crossed with every node of the last
+    axis, when dim > 1 and the last axis fits in one block; otherwise
+    every axis leads.  The ``(M, dim)`` points are column-major, so
+    elementwise work on them runs along M rather than along the short
+    coordinate axis.  Every block is a read-only view of one buffer that
+    the next block overwrites; only the leading coordinates change
+    between blocks.
     """
     nodes, weights = _rule(rule, order)
-    tail, tail_w = _tail_grid(rule, order, dim)
-    lead, size = dim - tail.shape[0], tail_w.size
     if scale != 1.0:
         nodes, weights = scale * nodes, scale * weights
-        tail, tail_w = scale * tail, scale ** tail.shape[0] * tail_w
+    tail = dim > 1 and order <= GRID_BLOCK
+    lead, tail_w = dim - tail, weights if tail else np.ones(1)
     n_lead = order**lead
-    step = min(max(GRID_BLOCK // size, 1), n_lead)
-    pts = np.empty((dim, step, size))
-    pts[lead:] = tail[:, None, :]
-    w = np.empty((step, size))
+    step = min(GRID_BLOCK // tail_w.size, n_lead)
+    pts = np.empty((dim, step, tail_w.size))
+    if tail:
+        pts[lead] = nodes
+    w = np.empty((step, tail_w.size))
     for start in range(0, n_lead, step):
         run = np.arange(start, min(start + step, n_lead))
         ix = np.stack(np.unravel_index(run, (order,) * lead))
@@ -341,42 +329,36 @@ def _panel_count(length, z):
         return np.fmax(np.ceil(np.abs(length) / z), length != 0.0)
 
 
-def _ball_span(a, b, d):
-    """Whether a rho^2 + 2 b rho + d <= 0 somewhere on rho >= 0, and the ends
-    [lo, hi] of that stretch, each root in its cancellation-free form."""
-    disc = b * b - a * d
-    hit = (d <= 0.0) | ((b < 0.0) & (disc >= 0.0))
-    s = np.sqrt(np.maximum(disc, 0.0))
-    diff = s - b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return hit, np.where(d > 0.0, d / diff, 0.0), np.where(b > 0.0, -d / (s + b), diff / a)
-
-
 def _mc_means(f, mus, roots, quad):
     """Replicate means (K, MC_REPLICATES) of E f(mu_k + A_k w), w ~ N(0, I).
 
     With w = rho theta, rho ~ chi_N and theta on the rays of
-    :func:`_directions`, |m + rho A theta|^2 (m = mu - center) is a
-    quadratic in rho whose crossings of r_in^2 and r_out^2, capped where
-    the chi_N tail drops below roundoff, cut rho >= 0 into a plateau
-    between two transition stretches (split at the vertex when the ray
-    misses the plateau).  A plain bump's plateau is an exact chi_N
-    increment; every other stretch takes Gauss-Legendre panels, a
-    ModulatedBump's factor at the nodes.
+    :func:`_directions`, the squared radius along the ray v = A theta
+    (m = mu - center) is taken in vertex form, |m + rho v|^2 = p^2 +
+    |v|^2 (rho - rho*)^2, rho* = -<m, v> / |v|^2, with the distance p =
+    |m + rho* v| formed from that point itself: the expanded quadratic's
+    |m|^2 - <m, v>^2 / |v|^2 cancels to garbage once |m| >> r_out.  The
+    crossings rho* -+ sqrt((r^2 - p^2) / |v|^2) of r_in and r_out, clipped
+    to [0, cap] where the chi_N tail drops below roundoff, cut rho >= 0
+    into a plateau between two transition stretches (split at the vertex
+    when the ray misses the plateau, empty when it misses the bump).  A
+    plain bump's plateau is an exact chi_N increment; every other stretch
+    takes Gauss-Legendre panels, a ModulatedBump's factor at the nodes.
 
-    Along a ray v = A theta the radius R = |m + rho v| (d at the vertex)
-    has complex branch points R / |v| >= r_in / |v| from rho, so equal
+    Along a ray the radius R = |m + rho v| (p at the vertex) has complex
+    branch points R / |v| >= r_in / |v| from rho, so equal
     transition panels are at most 2 r_in / |v| long.  A block that would
     need more than RAY_EQUAL_MAX of them on a stretch (a thin plateau)
     grades its transition stretches instead: from the near end in steps
-    of log 3 in u = log(R + sqrt(R^2 - d^2)), each panel within twice its
+    of log 3 in u = log(R + sqrt(R^2 - p^2)), each panel within twice its
     own distance from the branch points, up to the radius where that
     reaches the longest panel, in equal panels beyond; a plateau
     r_in << r_out then costs about log(r_out / r_in) panels.
 
     Grading only places the panel ends, so on every panel rho = mid +
-    half x is affine in the Gauss-Legendre node x, and |m + rho v|^2,
-    -rho^2 / 2, rho^(N-1) and a factor's points mu + rho v are
+    half x is affine in the Gauss-Legendre node x, and |m + rho v|^2 =
+    p^2 + |v|^2 (mid - rho* + half x)^2, -rho^2 / 2, rho^(N-1) and a
+    factor's points mu + rho v are
     polynomials in x: a window of panels gets one coefficient row per
     panel and polynomial, and a chunk of RAY_BLOCK of them evaluates a
     polynomial of k coefficients as one (RAY_NODES, k) by (k, RAY_BLOCK)
@@ -406,17 +388,17 @@ def _mc_means(f, mus, roots, quad):
         m = mus[blk] - bump.center
         # V[k, i, r] = (A_k theta_r)_i in one matmul
         V = (roots[blk].reshape(-1, n) @ dirs.T).reshape(-1, n, rays)
-        a, b = np.einsum("kir,kir->kr", V, V), np.einsum("kir,ki->kr", V, m)
-        c0 = np.einsum("kn,kn->k", m, m)[:, None]
-        c0_pair = np.repeat(c0[:, 0], rays)
-        hit, e0, e3 = _ball_span(a, b, c0 - r_out**2)
-        e0 = np.where(hit, np.minimum(e0, cap), 0.0)
-        e3 = np.where(hit, np.fmax(np.fmin(e3, cap), e0), e0)
-        hit, e1, e2 = _ball_span(a, b, c0 - r_in**2)
+        a = np.einsum("kir,kir->kr", V, V)
+        # the vertex rho* (0 on a ray v = 0, whose <m, v> is 0 too) and the
+        # squared distance p^2 = |m + rho* v|^2 of the ray from the centre
+        vertex = -np.einsum("kir,ki->kr", V, m) / np.where(a > 0.0, a, 1.0)
+        P = m[:, :, None] + vertex[:, None, :] * V
+        p2 = np.einsum("kir,kir->kr", P, P)
+        # the crossings rho* -+ h of r_out and r_in in rho order, clipped to
+        # [0, cap]; a ball the ray misses has h = 0, an empty stretch
         with np.errstate(divide="ignore", invalid="ignore"):
-            vertex = np.fmax(np.fmin(-b / a, e3), e0)
-        e1 = np.where(hit, np.fmin(np.fmax(e1, e0), e3), vertex)
-        e2 = np.where(hit, np.fmax(np.fmin(e2, e3), e1), vertex)
+            h_out, h_in = (np.sqrt(np.maximum(r * r - p2, 0.0) / a) for r in (r_out, r_in))
+        e0, e1, e2, e3 = np.fmin(np.fmax(vertex + np.stack([-h_out, -h_in, h_in, h_out]), 0.0), cap)
         if factor is None:
             acc = _chi_tail(n, e1) - _chi_tail(n, e2)
             span = RAY_PANEL
@@ -445,16 +427,14 @@ def _mc_means(f, mus, roots, quad):
             # radii below 1e-300 r_out count as 1e-300 r_out, so e^u stays
             # finite; u past the near end is rho = near + scale expm1(u)
             # (1 + q2 e^-u)
-            R0, R2 = (np.sqrt(np.maximum((a * e + 2.0 * b) * e + c0, 0.0)) for e in (near, far))
+            R0, R2 = (np.sqrt(p2 + a * (e - vertex) ** 2) for e in (near, far))
             R0, R2 = (np.clip(R, max(r_in, 1e-300 * r_out), r_out) for R in (R0, R2))
-            R1, R2 = np.clip(0.5 * span * np.sqrt(a), R0, R2), np.maximum(R0, R2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d = np.sqrt(np.fmax(c0 - b * b / a, 0.0))
-                W0, W1, W2 = (R * (1.0 + np.sqrt(np.maximum(1.0 - (d / R) ** 2, 0.0))) for R in (R0, R1, R2))
+            R1, p = np.clip(0.5 * span * np.sqrt(a), R0, R2), np.sqrt(p2)
+            with np.errstate(divide="ignore"):
+                W0, W1, W2 = (R * (1.0 + np.sqrt(np.maximum(1.0 - (p / R) ** 2, 0.0))) for R in (R0, R1, R2))
                 scale = np.array([-0.5, 0.5])[:, None, None] * W0 / np.sqrt(a)
-            # at least 0 steps where cancellation leaves the near radius the larger
-            steps, u_far = np.maximum(np.ceil(np.log(W1 / W0) / LOG3), 0.0), np.log(W2 / W0)
-            q2 = (d / W0) ** 2
+            steps, u_far = np.ceil(np.log(W1 / W0) / LOG3), np.log(W2 / W0)
+            q2 = (p / W0) ** 2
             mid = near + scale * np.expm1(steps * LOG3) * (1.0 + q2 * np.exp(-steps * LOG3))
             mid = np.where(steps * LOG3 < u_far, np.where(steps > 0.0, mid, near), far)
             count = np.where(near != far, np.minimum(steps, np.ceil(u_far / LOG3)), 0.0)
@@ -485,9 +465,9 @@ def _mc_means(f, mus, roots, quad):
                 # rho = mid_s + half x: coefficient rows of |m + rho v|^2,
                 # -rho^2 / 2 and rho^(N-1) in powers of x
                 o = s % a.size
-                a_o, b_o = a.reshape(-1)[o], b.reshape(-1)[o]
-                am, square = a_o * mid_s + b_o, half * half
-                quad_c = np.stack([(am + b_o) * mid_s + c0_pair[o], 2.0 * half * am, a_o * square])
+                a_o, delta = a.reshape(-1)[o], mid_s - vertex.reshape(-1)[o]
+                ad, square = a_o * delta, half * half
+                quad_c = np.stack([p2.reshape(-1)[o] + ad * delta, 2.0 * half * ad, a_o * square])
                 gauss_c = np.stack([-0.5 * mid_s * mid_s, -mid_s * half, -0.5 * square])
                 radial_c = np.stack([math.comb(n - 1, i) * mid_s ** (n - 1 - i) * half**i for i in range(n)])
                 if factor is not None:

@@ -279,11 +279,24 @@ def heat2_bump_radial(bump, var, X):
     return 1.0 - edge - stats.rice.sf(r_out, rho / sigma, scale=sigma)
 
 
+def ball_span(a, b, d):
+    """Whether a rho^2 + 2 b rho + d <= 0 somewhere on rho >= 0, and the ends
+    [lo, hi] of that stretch, each root in its cancellation-free form."""
+    disc = b * b - a * d
+    hit = (d <= 0.0) | ((b < 0.0) & (disc >= 0.0))
+    s = np.sqrt(np.maximum(disc, 0.0))
+    diff = s - b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return hit, np.where(d > 0.0, d / diff, 0.0), np.where(b > 0.0, -d / (s + b), diff / a)
+
+
 def per_point_means(f, mus, roots, quad):
     """The ray rule's replicate means, evaluated point by point.
 
     A copy of the rule's set-up (stretch ends, equal or graded panels) in
-    blocks of 2048 pairs, with each chunk of panels evaluated at its
+    its expanded-quadratic form, the squared radius a rho^2 + 2 b rho + c0
+    with the crossings of :func:`ball_span`, against the rule's vertex
+    form, in blocks of 2048 pairs, with each chunk of panels evaluated at its
     nodes rho = mid + half x one point at a time: the squared radius, the
     chi_N density and a factor's points from rho itself, and the odd-N
     chi tail through math.erfc.
@@ -295,7 +308,7 @@ def per_point_means(f, mus, roots, quad):
     rays, cap = dirs.shape[0], math.sqrt(n + 2.0 * math.sqrt(42.0 * n) + 84.0)
     x, w = semigroup_module._rule(semigroup_module._leggauss, semigroup_module.RAY_NODES)
     log_norm = (0.5 * n - 1.0) * math.log(2.0) + math.lgamma(0.5 * n)
-    ball_span, log3 = semigroup_module._ball_span, math.log(3.0)
+    log3 = math.log(3.0)
 
     def chi_tail(rho):
         x2 = 0.5 * rho * rho
@@ -793,6 +806,39 @@ class TestMonteCarloFallback:
         f, mus, roots, quad = self.poisson_grid_args(monkeypatch, spec, bump, 0.6, X)
         alone = [semigroup_module._mc_means(f, mus[i : i + 1], roots[i : i + 1], quad) for i in range(mus.shape[0])]
         assert_allclose(semigroup_module._mc_means(f, mus, roots, quad), np.concatenate(alone), rtol=1e-14, atol=1e-16)
+
+    @staticmethod
+    def far_chain_case(n):
+        """X and a bump of radii 0.31 and 1.36 in R^n, and a two-term factor."""
+        X = np.random.default_rng(100).uniform(-0.5, 0.5, n)
+        factor = gaussian(np.full(n, -0.2), 0.8 * np.eye(n), monomial=(1,) + (0,) * (n - 1))
+        factor = factor + 0.5 * gaussian(np.full(n, 0.3), 2.5 * np.eye(n))
+        return X, CompactBump(np.array([0.11, -0.18, -0.37])[:n], 0.31, 1.36), factor
+
+    @pytest.mark.parametrize("spec", [CHAIN3, kolmogorov(1)], ids=["chain3", "kolmogorov1"])
+    @pytest.mark.parametrize("t", [1e4, 1e6, 1e8, 1e10])
+    def test_far_mean_value_is_a_probability(self, spec, t):
+        # the mean e^{tB} X lies up to 1e20 from the bump: a ray's distance
+        # from the centre taken as |m|^2 - <m, v>^2 / |v|^2 cancelled to
+        # garbage there (a value of -2.4e-20 on the chain at t = 1e6)
+        X, bump, _ = self.far_chain_case(spec.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = apply_semigroup_report(spec, bump, t, X)
+        assert 0.0 <= got.value <= 1.0
+        assert math.isfinite(got.stderr) and got.stderr >= 0.0
+
+    def test_far_modulated_bump_takes_no_panels(self, monkeypatch):
+        # at t = 1e8 on the chain no ray comes within r_out of the bump, so
+        # nothing reaches the bump profile; rays falsely hit by a cancelled
+        # distance each took panels of the factor's curvature along them
+        panels = []
+        profile = CompactBump.profile
+        monkeypatch.setattr(CompactBump, "profile", lambda b, r2, out=None: panels.append(r2.size) or profile(b, r2, out))
+        X, bump, factor = self.far_chain_case(3)
+        got = apply_semigroup_report(CHAIN3, ModulatedBump(bump, factor), 1e8, X)
+        assert sum(panels) == 0
+        assert got.value == 0.0 and got.stderr == 0.0
 
     def test_erfc_series_matches_math_erfc(self):
         x = np.concatenate([np.linspace(0.0, 12.0, 24001), np.random.default_rng(3).uniform(0.0, 12.0, 4000)])

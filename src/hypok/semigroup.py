@@ -8,10 +8,9 @@ randomised spherical-radial rule (Deak 1980, Numer. Math. 35; Genz and
 Monahan 1998, SIAM J. Sci. Comput. 19): E f(mu + A w) with w = rho theta
 is exact along each ray to roundoff, and only the directions theta are
 random, Philox-seeded rotations of one fixed design shared by every call.
-Each ray's squared radius about the bump centre is taken in vertex form,
-p^2 + |A theta|^2 (rho - rho*)^2 with the distance p formed at the vertex
-rho* itself, so the ray's crossings of the bump's radii stay exact however
-far the transition mean lies from the bump.
+Each ray's squared radius about the bump centre is in vertex form, its
+distance p formed at the vertex itself, so the crossings of the bump's
+radii stay exact however far the transition mean lies from the bump.
 The Poisson semigroup is subordinated to P_t with the time axis split at
 t = z^2 and mapped onto (0, 1] on each side, so both the flat short-time
 end and the algebraic long-time decay are analytic in the quadrature
@@ -211,13 +210,12 @@ def _grid_blocks(rule, order, dim, scale=1.0):
 
     Blocks follow C order (first axis slowest), hold at most GRID_BLOCK
     points each and come with their product weights.  Each block is a
-    run of leading-axis positions crossed with every node of the last
-    axis, when dim > 1 and the last axis fits in one block; otherwise
-    every axis leads.  The ``(M, dim)`` points are column-major, so
-    elementwise work on them runs along M rather than along the short
-    coordinate axis.  Every block is a read-only view of one buffer that
-    the next block overwrites; only the leading coordinates change
-    between blocks.
+    run of leading-axis positions crossed with the whole last axis (every
+    axis leads at dim = 1 or order > GRID_BLOCK).  The ``(M, dim)``
+    points are column-major, so elementwise work on them runs along M
+    rather than along the short coordinate axis.  Every block is a
+    read-only view of one buffer that the next block overwrites; only
+    the leading coordinates change between blocks.
     """
     nodes, weights = _rule(rule, order)
     if scale != 1.0:
@@ -358,11 +356,11 @@ def _mc_means(f, mus, roots, quad):
     Grading only places the panel ends, so on every panel rho = mid +
     half x is affine in the Gauss-Legendre node x, and |m + rho v|^2 =
     p^2 + |v|^2 (mid - rho* + half x)^2, -rho^2 / 2, rho^(N-1) and a
-    factor's points mu + rho v are
-    polynomials in x: a window of panels gets one coefficient row per
-    panel and polynomial, and a chunk of RAY_BLOCK of them evaluates a
-    polynomial of k coefficients as one (RAY_NODES, k) by (k, RAY_BLOCK)
-    matmul against the powers of the nodes.  Set-up blocks (whole times,
+    factor's points mu + rho v are polynomials in x: a window of panels
+    gets one coefficient row per panel and polynomial, and a chunk of
+    RAY_BLOCK of them evaluates a polynomial of k coefficients as one
+    (RAY_NODES, k) by (k, RAY_BLOCK) matmul against the powers of the
+    nodes.  Set-up blocks (whole times,
     one time when its rays are more) and windows hold at most
     RAY_BLOCK * RAY_NODES / 4 pairs or panels, so a temporary of up to
     four floats per pair or panel, like a chunk's node values, holds at

@@ -818,9 +818,9 @@ class TestMonteCarloFallback:
     @pytest.mark.parametrize("spec", [CHAIN3, kolmogorov(1)], ids=["chain3", "kolmogorov1"])
     @pytest.mark.parametrize("t", [1e4, 1e6, 1e8, 1e10])
     def test_far_mean_value_is_a_probability(self, spec, t):
-        # the mean e^{tB} X lies up to 1e20 from the bump: a ray's distance
-        # from the centre taken as |m|^2 - <m, v>^2 / |v|^2 cancelled to
-        # garbage there (a value of -2.4e-20 on the chain at t = 1e6)
+        # the mean e^{tB} X lies up to 2e19 from the bump, where a ray's
+        # squared distance from the centre taken as |m|^2 - <m, v>^2 / |v|^2
+        # cancels to garbage (a value of -2.4e-20 on the chain at t = 1e6)
         X, bump, _ = self.far_chain_case(spec.dim)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -830,8 +830,8 @@ class TestMonteCarloFallback:
 
     def test_far_modulated_bump_takes_no_panels(self, monkeypatch):
         # at t = 1e8 on the chain no ray comes within r_out of the bump, so
-        # nothing reaches the bump profile; rays falsely hit by a cancelled
-        # distance each took panels of the factor's curvature along them
+        # nothing reaches the bump profile; false hits through a cancelled
+        # distance cost some 4.7e10 panels of the factor's width here
         panels = []
         profile = CompactBump.profile
         monkeypatch.setattr(CompactBump, "profile", lambda b, r2, out=None: panels.append(r2.size) or profile(b, r2, out))

@@ -10,7 +10,7 @@ is exact along each ray to roundoff, and only the directions theta are
 random, Philox-seeded rotations of one fixed design shared by every call.
 Each ray's squared radius about the bump centre is in vertex form, its
 distance p formed at the vertex itself, so the crossings of the bump's
-radii stay exact however far the transition mean lies from the bump.
+radii do not cancel however far the transition mean lies from the bump.
 The Poisson semigroup is subordinated to P_t with the time axis split at
 t = z^2 and mapped onto (0, 1] on each side, so both the flat short-time
 end and the algebraic long-time decay are analytic in the quadrature

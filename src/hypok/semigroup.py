@@ -50,7 +50,6 @@ Gaussian kernels have only Gaussian maximisers (Lieb 1990, Invent. Math.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -81,10 +80,8 @@ from .testfuncs import (
 )
 
 __all__ = [
-    "QuadratureSpec",
     "SemigroupValue",
     "UltracontractivityResult",
-    "DEFAULT_QUAD",
     "GRID_BLOCK",
     "apply_semigroup",
     "apply_semigroup_report",
@@ -99,10 +96,14 @@ __all__ = [
 ]
 
 MC_REPLICATES = 8
+# Philox key of the ray rotations (:func:`_directions`), the same for every call
+RAY_SEED = 20260822
 # rays per replicate at N = 2, equally spaced; N = 1 takes its two
 # half-lines, N >= 3 SPACE_TURNS independent turns of the 2 N^2 rays +-e_i
 # and (+-e_i +-e_j) / sqrt(2)
 PLANE_RAYS, SPACE_TURNS = 32, 32
+# Gauss-Legendre nodes on each side of the time split of apply_poisson
+POISSON_NODES = 100
 # Gauss-Legendre nodes per ray panel, and the longest panel in the
 # whitened radius: the chi_N density is then resolved to roundoff
 RAY_NODES, RAY_PANEL = 12, 2.0
@@ -116,33 +117,6 @@ RAY_BLOCK = 2048
 # default 128 KB mmap threshold, so the temporaries of each block are
 # reused from the heap instead of being mapped and page-faulted anew
 GRID_BLOCK = 1 << 13
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Direction seed of the compact-profile values and time resolution of
-    :func:`apply_poisson`; the smoothing check needs neither.
-
-    ``rng_seed``, an integer in [0, 2^64), orients the rays of the
-    compact-profile rule (:func:`_directions`), the same for every call.
-    ``time_nodes``, an integer >= 80, is the Gauss-Legendre node count of
-    :func:`apply_poisson`, ``time_nodes // 2`` on each side of its split.
-    """
-
-    time_nodes: int = 200
-    rng_seed: int = 20260822
-
-    def __post_init__(self):
-        for name, low, high in (("time_nodes", 80, math.inf), ("rng_seed", 0, 2**64 - 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError("%s must be an integer" % name)
-            if not low <= value <= high:
-                raise ValueError("%s must lie in [%s, %s]" % (name, low, high))
-            object.__setattr__(self, name, int(value))
-
-
-DEFAULT_QUAD = QuadratureSpec()
 
 
 @dataclass(frozen=True)
@@ -247,11 +221,11 @@ def _check_input(spec, f, X, kinds):
 
 
 @lru_cache(maxsize=8)
-def _directions(dim, rng_seed):
+def _directions(dim):
     """Read-only unit rays (MC_REPLICATES * L, dim), replicate i in rows i L to (i + 1) L:
     the design of PLANE_RAYS (SPACE_TURNS copies of it for dim >= 3), each
     copy turned by the sign-fixed Q of the QR of its own standard normal
-    (dim, dim) draw from Philox(key=[rng_seed, i]), a Haar rotation, so
+    (dim, dim) draw from Philox(key=[RAY_SEED, i]), a Haar rotation, so
     each ray is uniform on the sphere."""
     if dim == 2:
         angle = (2.0 * math.pi / PLANE_RAYS) * np.arange(PLANE_RAYS)
@@ -263,8 +237,7 @@ def _directions(dim, rng_seed):
     turns = 1 if dim <= 2 else SPACE_TURNS
     out = np.empty((MC_REPLICATES, turns) + design.shape)
     for rep in range(MC_REPLICATES):
-        # uint64 words: a list holding a seed >= 2^63 would pass floats
-        rng = np.random.Generator(np.random.Philox(key=np.array([rng_seed, rep], dtype=np.uint64)))
+        rng = np.random.Generator(np.random.Philox(key=[RAY_SEED, rep]))
         q, r = np.linalg.qr(rng.standard_normal(size=(turns, dim, dim)))
         q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
         out[rep] = design @ q.transpose(0, 2, 1)
@@ -327,7 +300,7 @@ def _panel_count(length, z):
         return np.fmax(np.ceil(np.abs(length) / z), length != 0.0)
 
 
-def _mc_means(f, mus, roots, quad):
+def _mc_means(f, mus, roots):
     """Replicate means (K, MC_REPLICATES) of E f(mu_k + A_k w), w ~ N(0, I).
 
     With w = rho theta, rho ~ chi_N and theta on the rays of
@@ -370,7 +343,7 @@ def _mc_means(f, mus, roots, quad):
     K, n = mus.shape
     bump, factor = (f.bump, f.f) if isinstance(f, ModulatedBump) else (f, None)
     r_in, r_out = bump.inner_radius, bump.outer_radius
-    dirs = _directions(n, quad.rng_seed)
+    dirs = _directions(n)
     # past cap the chi_N tail is below e^{-42} (Laurent and Massart 2000,
     # Ann. Statist. 28: P(|w|^2 >= N + 2 sqrt(N x) + 2 x) <= e^{-x})
     rays, cap = dirs.shape[0], math.sqrt(n + 2.0 * math.sqrt(42.0 * n) + 84.0)
@@ -487,9 +460,7 @@ def _mc_means(f, mus, roots, quad):
     return sums.reshape(K, MC_REPLICATES, -1).mean(axis=2)
 
 
-def apply_semigroup_report(
-    spec: OperatorSpec, f, t, X, quad: QuadratureSpec = DEFAULT_QUAD
-) -> SemigroupValue:
+def apply_semigroup_report(spec: OperatorSpec, f, t, X) -> SemigroupValue:
     """P_t f(X) with method and sampling-error bookkeeping.
 
     Gaussian-polynomial functions are convolved in closed form (method
@@ -505,17 +476,15 @@ def apply_semigroup_report(
         value = exact_semigroup_oracle(spec, f, t, X)
         return SemigroupValue(value=value, stderr=0.0, method="closed-form")
 
-    means = _mc_profile(spec, f, np.array([t]), X, quad)[0]
+    means = _mc_profile(spec, f, np.array([t]), X)[0]
     value = float(np.mean(means))
     stderr = float(np.std(means, ddof=1) / math.sqrt(MC_REPLICATES))
     return SemigroupValue(value=value, stderr=stderr, method="monte-carlo")
 
 
-def apply_semigroup(
-    spec: OperatorSpec, f, t, X, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def apply_semigroup(spec: OperatorSpec, f, t, X) -> float:
     """P_t f(X); see apply_semigroup_report for the error channel."""
-    return apply_semigroup_report(spec, f, t, X, quad).value
+    return apply_semigroup_report(spec, f, t, X).value
 
 
 def semigroup_gradient(spec: OperatorSpec, f: TestFunction, t, X) -> np.ndarray:
@@ -533,24 +502,22 @@ def semigroup_gradient(spec: OperatorSpec, f: TestFunction, t, X) -> np.ndarray:
     return exact_semigroup_oracle(spec, f, t, X, gradient=True)
 
 
-def _mc_profile(spec, f, ts, X, quad):
+def _mc_profile(spec, f, ts, X):
     """Replicate means (len(ts), MC_REPLICATES) of P_t f(X), f a compact
     profile, from one engine pass and one blocked pass of :func:`_mc_means`."""
     exp_tB, _, _, tK, _, _ = _block_gramians(spec, ts)
-    return _mc_means(f, exp_tB @ X, sym_sqrt(2.0 * tK), quad)
+    return _mc_means(f, exp_tB @ X, sym_sqrt(2.0 * tK))
 
 
-def _poisson_profile(spec, f, ts, X, quad):
+def _poisson_profile(spec, f, ts, X):
     """P_t f(X) at every time of ``ts`` from one engine pass: closed form
     for the family, one Monte Carlo mean per time for a compact profile."""
     if isinstance(f, TestFunction):
         return exact_semigroup_profile(spec, f, ts, X)
-    return np.mean(_mc_profile(spec, f, ts, X, quad), axis=1)
+    return np.mean(_mc_profile(spec, f, ts, X), axis=1)
 
 
-def apply_poisson(
-    spec: OperatorSpec, f, z, X, quad: QuadratureSpec = DEFAULT_QUAD
-) -> float:
+def apply_poisson(spec: OperatorSpec, f, z, X) -> float:
     """Poisson semigroup by subordination to P_t.
 
     The defining time integral
@@ -565,17 +532,16 @@ def apply_poisson(
     Gauss-Legendre resolves where a symmetric rule would see a kink.
     Drifts with spectral decay are cut at an overflow-safe time cap and
     the converged remainder is added as an erf mass.  Each side takes
-    ``quad.time_nodes // 2`` nodes, so a call evaluates P_t f at
-    ``2 * (time_nodes // 2) + 1`` times, one of them at the cap
-    (``time_nodes // 2 + 1`` when z^2 lies past the cap and the second
-    side is empty).  The times form one grid with one engine pass.
+    POISSON_NODES Gauss-Legendre nodes, so a call evaluates P_t f at
+    2 POISSON_NODES + 1 times, one of them at the cap (POISSON_NODES + 1
+    when z^2 lies past the cap and the second side is empty).  The times
+    form one grid with one engine pass.
     """
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError("z must be positive and finite")
     X = _check_input(spec, f, X, (TestFunction, CompactBump, ModulatedBump))
-    half = quad.time_nodes // 2
-    nodes, weights = _rule(_leggauss, half)
+    nodes, weights = _rule(_leggauss, POISSON_NODES)
     sqrt_pi = math.sqrt(math.pi)
 
     # beyond t_cap every exponential mode of the drift has converged (or,
@@ -595,14 +561,14 @@ def apply_poisson(
     # profile's transition scale order-one for every z; empty past the cap
     v_min = min(z / math.sqrt(t_cap), 1.0)
     s_max = -math.log(v_min)
-    tail_n = half if v_min < 1.0 else 0
+    tail_n = POISSON_NODES if v_min < 1.0 else 0
     s_nodes = s_max * 0.5 * (nodes[:tail_n] + 1.0)
     s_weights = s_max * 0.5 * weights[:tail_n]
 
     # the whole time grid (cap, head, tail) in one engine pass
     ts = np.concatenate(([t_cap], z**2 * w_nodes**2, z**2 * np.exp(2.0 * s_nodes)))
-    vals = _poisson_profile(spec, f, ts, X, quad)
-    p_cap, head_vals, tail_vals = float(vals[0]), vals[1 : half + 1], vals[half + 1 :]
+    vals = _poisson_profile(spec, f, ts, X)
+    p_cap, head_vals, tail_vals = float(vals[0]), vals[1 : POISSON_NODES + 1], vals[POISSON_NODES + 1 :]
 
     head_weight = w_nodes**-2.0 * np.exp(-0.25 * w_nodes**-2.0)
     head = float((w_weights * head_weight) @ head_vals) / sqrt_pi

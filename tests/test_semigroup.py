@@ -30,11 +30,11 @@ from hypok.operator_core import (
     sym_sqrt,
 )
 from hypok.semigroup import (
-    DEFAULT_QUAD,
     GRID_BLOCK,
     MC_REPLICATES,
+    POISSON_NODES,
+    RAY_SEED,
     SPACE_TURNS,
-    QuadratureSpec,
     apply_poisson,
     apply_semigroup,
     apply_semigroup_report,
@@ -290,7 +290,7 @@ def ball_span(a, b, d):
         return hit, np.where(d > 0.0, d / diff, 0.0), np.where(b > 0.0, -d / (s + b), diff / a)
 
 
-def per_point_means(f, mus, roots, quad):
+def per_point_means(f, mus, roots):
     """The ray rule's replicate means, evaluated point by point.
 
     A copy of the rule's set-up (stretch ends, equal or graded panels) in
@@ -304,7 +304,7 @@ def per_point_means(f, mus, roots, quad):
     K, n = mus.shape
     bump, factor = (f.bump, f.f) if isinstance(f, ModulatedBump) else (f, None)
     r_in, r_out = bump.inner_radius, bump.outer_radius
-    dirs = _directions(n, quad.rng_seed)
+    dirs = _directions(n)
     rays, cap = dirs.shape[0], math.sqrt(n + 2.0 * math.sqrt(42.0 * n) + 84.0)
     x, w = semigroup_module._rule(semigroup_module._leggauss, semigroup_module.RAY_NODES)
     log_norm = (0.5 * n - 1.0) * math.log(2.0) + math.lgamma(0.5 * n)
@@ -600,39 +600,26 @@ class TestMonteCarloFallback:
         b = apply_semigroup_report(spec, bump, 0.4, np.zeros(2))
         assert a.value == b.value and a.stderr == b.stderr
 
-    def test_seed_changes_draws(self):
-        # off centre: a bump centred at X on heat(2) has the same value
-        # along every ray, whatever the rotation
-        spec = heat(2)
-        bump = CompactBump(np.array([0.4, -0.3]), 0.3, 0.9)
-        a = apply_semigroup_report(spec, bump, 0.4, np.zeros(2))
-        other = QuadratureSpec(rng_seed=7)
-        b = apply_semigroup_report(spec, bump, 0.4, np.zeros(2), quad=other)
-        assert a.value != b.value and a.stderr != b.stderr
-        assert abs(a.value - b.value) <= 5.0 * (a.stderr + b.stderr)
-
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_directions_are_philox_rotations(self, dim):
-        seed = 12345
-        dirs = _directions(dim, seed)
-        want = rotated_design(dim, seed)
+        dirs = _directions(dim)
+        want = rotated_design(dim, RAY_SEED)
         assert dirs.shape == (want.shape[0] * want.shape[1], dim)
         assert_allclose(dirs, want.reshape(-1, dim), rtol=0.0, atol=1e-15)
         assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0.0, atol=1e-15)
 
     def test_directions_are_read_only(self):
-        dirs = _directions(2, 3)
+        dirs = _directions(2)
         assert not dirs.flags.writeable
         with pytest.raises(ValueError):
             dirs[0, 0] = 1.0
 
     def test_directions_are_built_once(self):
-        quad = QuadratureSpec(time_nodes=80, rng_seed=99)
         spec, bump = heat(2), CompactBump(np.zeros(2), 0.3, 0.8)
         _directions.cache_clear()
         for t in (0.1, 0.1, 0.7):
-            apply_semigroup_report(spec, bump, t, np.zeros(2), quad)
-        apply_poisson(spec, bump, 0.5, np.zeros(2), quad)
+            apply_semigroup_report(spec, bump, t, np.zeros(2))
+        apply_poisson(spec, bump, 0.5, np.zeros(2))
         # one build, then one lookup per call
         info = _directions.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
@@ -650,7 +637,7 @@ class TestMonteCarloFallback:
         factor = gaussian(np.full(n, -0.2), 0.8 * np.eye(n), monomial=(1,) + (0,) * (n - 1))
         factor = factor + 0.5 * gaussian(np.full(n, 0.3), 2.5 * np.eye(n))
         away = np.linspace(1.0, -0.5, n) / np.linalg.norm(np.linspace(1.0, -0.5, n))
-        rays = rotated_design(n, DEFAULT_QUAD.rng_seed)
+        rays = rotated_design(n, RAY_SEED)
         for t in (0.05, 1.3):
             # near, and 30 away with the transition ring through the cloud
             exp_tB, root = transition(spec, t)
@@ -708,7 +695,7 @@ class TestMonteCarloFallback:
             )
             return value
 
-        means = [np.mean([along(root @ theta) for theta in design]) for design in rotated_design(2, DEFAULT_QUAD.rng_seed)]
+        means = [np.mean([along(root @ theta) for theta in design]) for design in rotated_design(2, RAY_SEED)]
         assert got.value == pytest.approx(np.mean(means), rel=1e-12)
         assert got.stderr == pytest.approx(np.std(means, ddof=1) / math.sqrt(MC_REPLICATES), rel=1e-6)
 
@@ -737,7 +724,7 @@ class TestMonteCarloFallback:
 
     @staticmethod
     def poisson_grid_args(monkeypatch, spec, f, z, X):
-        """The (f, mus, roots, quad) of the one ray-rule pass of a Poisson call."""
+        """The (f, mus, roots) of the one ray-rule pass of a Poisson call."""
         seen, means = [], semigroup_module._mc_means
         monkeypatch.setattr(semigroup_module, "_mc_means", lambda *args: seen.append(args) or means(*args))
         apply_poisson(spec, f, z, X)
@@ -776,7 +763,7 @@ class TestMonteCarloFallback:
             assert args[1].shape[0] == 201
         else:
             exp_tB, _, _, tK, _, _ = _block_gramians(spec, np.array([0.05, 0.7, 3.0]))
-            args = (f, exp_tB @ X, sym_sqrt(2.0 * tK), DEFAULT_QUAD)
+            args = (f, exp_tB @ X, sym_sqrt(2.0 * tK))
         want = per_point_means(*args)
         got = semigroup_module._mc_means(*args)
         assert got.shape == want.shape == (args[1].shape[0], MC_REPLICATES)
@@ -803,9 +790,9 @@ class TestMonteCarloFallback:
         # above its far one: no graded panels there, and the grid's blocks
         # agree with its times taken one by one
         spec, X, bump = kolmogorov(1), np.array([0.3, -0.2]), CompactBump(np.array([0.1, 0.2]), 1e-6, 1.4)
-        f, mus, roots, quad = self.poisson_grid_args(monkeypatch, spec, bump, 0.6, X)
-        alone = [semigroup_module._mc_means(f, mus[i : i + 1], roots[i : i + 1], quad) for i in range(mus.shape[0])]
-        assert_allclose(semigroup_module._mc_means(f, mus, roots, quad), np.concatenate(alone), rtol=1e-14, atol=1e-16)
+        f, mus, roots = self.poisson_grid_args(monkeypatch, spec, bump, 0.6, X)
+        alone = [semigroup_module._mc_means(f, mus[i : i + 1], roots[i : i + 1]) for i in range(mus.shape[0])]
+        assert_allclose(semigroup_module._mc_means(f, mus, roots), np.concatenate(alone), rtol=1e-14, atol=1e-16)
 
     @staticmethod
     def far_chain_case(n):
@@ -1036,9 +1023,10 @@ class TestApplyPoisson:
         )
         assert apply_poisson(spec, f, z, X) == pytest.approx(brute, rel=1e-12)
 
-    @pytest.mark.parametrize("nodes, times", [(80, 81), (81, 81), (200, 201)])
-    def test_time_nodes_are_honoured(self, monkeypatch, nodes, times):
-        # each time of the engine pass is one Monte Carlo value on the shared draws
+    def test_time_nodes_are_honoured(self, monkeypatch):
+        # each time of the engine pass is one Monte Carlo value on the shared
+        # draws: the cap and POISSON_NODES on each side of the split
+        times = 2 * POISSON_NODES + 1
         sizes, means = [], []
         engine, mc_means = semigroup_module._block_gramians, semigroup_module._mc_means
 
@@ -1053,35 +1041,10 @@ class TestApplyPoisson:
 
         monkeypatch.setattr(semigroup_module, "_block_gramians", counted_engine)
         monkeypatch.setattr(semigroup_module, "_mc_means", counted_means)
-        quad = QuadratureSpec(time_nodes=nodes)
         bump = CompactBump(np.zeros(2), 0.3, 0.8)
-        apply_poisson(heat(2), bump, 0.5, np.zeros(2), quad)
-        assert sizes == [times]
+        apply_poisson(heat(2), bump, 0.5, np.zeros(2))
+        assert times == 201 and sizes == [times]
         assert means == [(times, MC_REPLICATES)]
-
-    def test_time_nodes_floor(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(time_nodes=79)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"time_nodes": math.nan}, {"time_nodes": 200.5}, {"time_nodes": True},
-         {"rng_seed": 1.5}, {"rng_seed": -1}, {"rng_seed": 2**70}],
-        ids=["nodes-nan", "nodes-fraction", "nodes-bool", "seed-fraction", "seed-negative", "seed-2^70"],
-    )
-    def test_quadrature_spec_rejects(self, kwargs):
-        # NaN and 200.5 nodes failed inside apply_poisson with numpy's "deg
-        # must be an integer"; seeds 1.5 and -1 gave values, 2^70 overflowed
-        # at first use
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
-
-    def test_quadrature_spec_takes_numpy_integers(self):
-        quad = QuadratureSpec(time_nodes=np.int64(120), rng_seed=np.uint64(2**64 - 1))
-        assert (quad.time_nodes, quad.rng_seed) == (120, 2**64 - 1)
-        assert type(quad.time_nodes) is int and type(quad.rng_seed) is int
-        bump = CompactBump(np.array([0.3, 0.0]), 0.3, 0.8)
-        assert 0.0 < apply_poisson(heat(2), bump, 0.5, np.zeros(2), quad) < 1.0
 
     def test_short_range_identity(self):
         rng = np.random.default_rng(9)
@@ -1122,19 +1085,18 @@ class TestApplyPoisson:
     )
     @pytest.mark.parametrize("modulated", [False, True], ids=["bump", "modulated"])
     def test_monte_carlo_matches_per_node_loop(self, monkeypatch, spec, modulated):
-        quad = DEFAULT_QUAD
         f = CompactBump(np.array([0.2, -0.1]), 0.3, 0.9)
         if modulated:
             f = ModulatedBump(f, gaussian(np.array([-0.2, 0.1]), 0.8 * np.eye(2), monomial=(1, 0)))
         X, z = np.array([0.1, 0.3]), 0.7
-        got = apply_poisson(spec, f, z, X, quad)
+        got = apply_poisson(spec, f, z, X)
 
-        def per_node(spec, f, ts, X, quad):
+        def per_node(spec, f, ts, X):
             # one full apply_semigroup, with its own Gramian bundle, per time
-            return np.array([apply_semigroup(spec, f, float(t), X, quad) for t in ts])
+            return np.array([apply_semigroup(spec, f, float(t), X) for t in ts])
 
         monkeypatch.setattr(semigroup_module, "_poisson_profile", per_node)
-        want = apply_poisson(spec, f, z, X, quad)
+        want = apply_poisson(spec, f, z, X)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("kind", ["bump", "closed-form"])
@@ -1151,9 +1113,8 @@ class TestApplyPoisson:
             f = CompactBump(np.zeros(2), 0.3, 0.8)
         else:
             f = gaussian(np.zeros(2), np.eye(2), monomial=(1, 1))
-        quad = DEFAULT_QUAD
         before = _gramian_bundle.cache_info()
-        apply_poisson(kolmogorov(1), f, 0.6, np.array([0.2, -0.4]), quad)
+        apply_poisson(kolmogorov(1), f, 0.6, np.array([0.2, -0.4]))
         assert calls == [201]
         assert _gramian_bundle.cache_info() == before
 

@@ -292,6 +292,34 @@ def _chi_tail(dim, rho):
     return total
 
 
+def _chi_mass(dim, lo, hi):
+    """P(lo < |w| < hi), w ~ N(0, I_dim), 0 <= lo <= hi finite, without the
+    cancellation of two tails near 1.  N = 2 takes e^{-lo^2/2} times
+    -expm1(-(hi - lo)(hi + lo) / 2), which is exact.  Other N take the
+    difference of tails, except on non-empty stretches with hi^2 < 1,
+    where the tails are near 1 (at hi^2 = 0.2 and N = 4 the difference
+    still loses 1e-12 on hi = 1.01 lo): there, with x = rho^2 / 2 and
+    s = N / 2, the lower-gamma series sum_k (-1)^k x^{s+k} / (k! (s + k)
+    Gamma(s)) is differenced term by term, x_hi^{s+k} (1 - (x_lo /
+    x_hi)^{s+k}) by -expm1, and its first 15 terms leave at most x^15 / 15!
+    < 3e-17 of the first."""
+    if dim == 2:
+        return np.exp(-0.5 * lo * lo) * -np.expm1(-0.5 * (hi - lo) * (hi + lo))
+    mass = _chi_tail(dim, lo) - _chi_tail(dim, hi)
+    short = (hi * hi < 1.0) & (hi > lo)
+    if short.any():
+        lo, hi, s = lo[short], hi[short], 0.5 * dim
+        with np.errstate(divide="ignore"):
+            log_ratio = 2.0 * np.log(lo / hi)
+        x = 0.5 * hi * hi
+        term, total = x**s / math.gamma(s), 0.0
+        for k in range(15):
+            total = total - term * np.expm1((s + k) * log_ratio) / (s + k)
+            term = term * (-x / (k + 1))
+        mass[short] = total
+    return mass
+
+
 def _panel_count(length, z):
     """Panels of length at most z on stretches of signed ``length``: 0 on
     an empty stretch, at least 1 on any other; inf past the float range or
@@ -371,7 +399,7 @@ def _mc_means(f, mus, roots):
             h_out, h_in = (np.sqrt(np.maximum(r * r - p2, 0.0) / a) for r in (r_out, r_in))
         e0, e1, e2, e3 = np.fmin(np.fmax(vertex + np.stack([-h_out, -h_in, h_in, h_out]), 0.0), cap)
         if factor is None:
-            acc = _chi_tail(n, e1) - _chi_tail(n, e2)
+            acc = _chi_mass(n, e1, e2)
             span = RAY_PANEL
         else:
             # a factor term e^{-<S(y - c), y - c>} narrows e^{-rho^2/2} to

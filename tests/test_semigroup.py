@@ -815,6 +815,30 @@ class TestMonteCarloFallback:
         assert 0.0 <= got.value <= 1.0
         assert math.isfinite(got.stderr) and got.stderr >= 0.0
 
+    @pytest.mark.parametrize(
+        "spec, power", [(kolmogorov(1), 2.0), (heat(3), 1.5)], ids=["kolmogorov1", "heat3"]
+    )
+    def test_far_mean_plateau_mass_holds(self, spec, power):
+        # far out the kernel is flat over the bump, so t^{Q/2} P_t f(X)
+        # tends to mass(f) p(X, c, t) t^{Q/2}; a ray meets the plateau in
+        # a short stretch near rho = 0, where both chi_N tails are within
+        # 1e-11 of 1 (their difference read 0.599 at t = 1e9 on kolmogorov(1)
+        # and 0.0711 at t = 1e10 on heat(3))
+        n = spec.dim
+        bump = CompactBump(np.array([0.1, 0.2, -0.1])[:n], 0.3, 1.4)
+        X = np.array([0.3, -0.2, 0.1])[:n]
+        radial, _ = integrate.quad(
+            lambda r: bump.value(bump.center + r * np.eye(n)[0]) * r ** (n - 1), 0.0, 1.4,
+            points=[0.3], epsabs=1e-14, epsrel=1e-13,
+        )
+        mass = 2.0 * math.pi ** (0.5 * n) / math.gamma(0.5 * n) * radial
+        base = 1e6**power * apply_semigroup_report(spec, bump, 1e6, X).value
+        for t in (1e9, 1e10):
+            got = apply_semigroup_report(spec, bump, t, X)
+            assert t**power * got.value == pytest.approx(base, rel=1e-6)
+            limit = mass * heat_kernel(spec, X, bump.center, t).value
+            assert abs(got.value - limit) <= 5.0 * got.stderr
+
     def test_far_modulated_bump_takes_no_panels(self, monkeypatch):
         # at t = 1e8 on the chain no ray comes within r_out of the bump, so
         # nothing reaches the bump profile; false hits through a cancelled
@@ -831,6 +855,28 @@ class TestMonteCarloFallback:
         x = np.concatenate([np.linspace(0.0, 12.0, 24001), np.random.default_rng(3).uniform(0.0, 12.0, 4000)])
         want = np.array([math.erfc(v) for v in x.tolist()])
         assert_allclose(semigroup_module._erfc(x), want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_chi_mass_matches_incomplete_gamma(self, dim):
+        # P(lo < |w| < hi) = P(N/2, hi^2/2) - P(N/2, lo^2/2), the reference
+        # taken on the side of the regularised gamma that does not cancel;
+        # lo runs from 1e-9 to the cap, hi from 1.01 lo, and a band of
+        # hi = 1.01 lo runs over hi^2 from 0.12 to 1.6: the rule changes
+        # route at hi^2 = 1, and a tail difference loses 1e-12 at N = 4
+        # down to hi^2 = 0.2
+        cap = math.sqrt(dim + 2.0 * math.sqrt(42.0 * dim) + 84.0)
+        rng = np.random.default_rng(dim)
+        lo = np.exp(rng.uniform(math.log(1e-9), math.log(cap / 1.01), 20000))
+        hi = np.minimum(lo * np.exp(rng.uniform(math.log(1.01), 3.0, lo.size)), cap)
+        band = np.geomspace(0.35, 1.25, 4001) / 1.01
+        lo, hi = np.concatenate([lo, band]), np.concatenate([np.maximum(hi, 1.01 * lo), 1.01 * band])
+        s, x_lo, x_hi = 0.5 * dim, 0.5 * lo * lo, 0.5 * hi * hi
+        want = np.where(
+            special.gammainc(s, x_hi) < 0.5,
+            special.gammainc(s, x_hi) - special.gammainc(s, x_lo),
+            special.gammaincc(s, x_lo) - special.gammaincc(s, x_hi),
+        )
+        assert_allclose(semigroup_module._chi_mass(dim, lo, hi), want, rtol=1e-12, atol=0.0)
 
     def test_bump_at_the_mean_of_a_degenerate_kernel_is_one(self):
         # at t = 1e-9 the kolmogorov(1) covariance has eigenvalues 2e-9 and

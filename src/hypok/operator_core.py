@@ -432,7 +432,8 @@ def _block_gramians(spec: OperatorSpec, ts: np.ndarray):
 
 
 def gramians(spec: OperatorSpec, t: float) -> GramianBundle:
-    """Gramian bundle at time t > 0 (block-exponential construction).
+    """Gramian bundle at time t > 0, from one pass of :func:`_block_gramians`
+    (polynomial for nilpotent drifts, Pade block exponential otherwise).
 
     Bundles are memoised: the key is the exact pair ``(spec, float(t))``
     (specs compare by content; times are never rounded, so times one ulp

@@ -50,6 +50,7 @@ Gaussian kernels have only Gaussian maximisers (Lieb 1990, Invent. Math.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -607,6 +608,13 @@ def apply_poisson(spec: OperatorSpec, f, z, X) -> float:
     return head + tail + p_cap * math.erf(0.5 * v_min)
 
 
+def _check_dim(dim):
+    """dim as an int, once it is a positive integer (numpy integers too, bool not)."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise DomainError("dim must be a positive integer")
+    return int(dim)
+
+
 def lr_norm_constant(dim: int, r: float) -> float:
     """c_{N,r} = [(4 pi)^{-N/2} omega_N]^{1-1/r} r^{-N/(2r)}.
 
@@ -615,9 +623,9 @@ def lr_norm_constant(dim: int, r: float) -> float:
     it is c_{N,r} omega_N^{-(1-1/r)}.  ``r = inf`` gives the sup norm,
     c_{N,inf} = (4 pi)^{-N/2} omega_N.
     """
-    r = float(r)
-    if not (dim >= 1 and 1.0 <= r <= math.inf):
-        raise DomainError("need dim >= 1 and 1 <= r <= inf")
+    dim, r = _check_dim(dim), float(r)
+    if not 1.0 <= r <= math.inf:
+        raise DomainError("need 1 <= r <= inf")
     omega = KernelConstants.for_dim(dim).omega_N
     return ((4.0 * math.pi) ** (-dim / 2.0) * omega) ** (1.0 - 1.0 / r) * r ** (
         -dim / (2.0 * r)
@@ -769,14 +777,15 @@ def _beckner(inv_m):
     return math.sqrt((1.0 - inv_m) ** (1.0 - inv_m) / inv_m**inv_m)
 
 
-@lru_cache(maxsize=256)
+# typed, so that True or 2.0 cannot hit the entry of 1 or 2
+@lru_cache(maxsize=256, typed=True)
 def ultracontractivity_constant(dim: int, p: float, q: float) -> float:
     """Sharp C(N, p, q) = (A_p A_r A_{q'})^N c_{N,r}; see the module docstring.
 
     At p = 1 the factors cancel and C = c_{N,q}, approached as f narrows
     to a point mass; p = q is the plain L^p contraction, C = 1 exactly.
     """
-    p, q = float(p), float(q)
+    dim, p, q = _check_dim(dim), float(p), float(q)
     if not 1.0 <= p <= q:
         raise DomainError("need 1 <= p <= q")
     if p == q:

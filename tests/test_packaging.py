@@ -37,7 +37,7 @@ def test_runs_without_scipy():
         "det_tK = np.exp(g.logdet_tK)\n"
         "assert det_tK > 0 and 0 < v < 1, (det_tK, v)\n"
         "b = apply_semigroup(hypok.kolmogorov(1), CompactBump(np.zeros(2), 0.5, 1.0), 0.4, np.zeros(2))\n"
-        "# N = 3 is odd: its plateau increments take math.erfc\n"
+        "# N = 3: the turned 3-D ray design, the factor in panels along each ray\n"
         "f = ModulatedBump(CompactBump(np.zeros(3), 0.5, 1.0), gaussian(np.zeros(3), np.eye(3)))\n"
         "m = apply_semigroup(hypok.heat(3), f, 0.4, np.zeros(3))\n"
         "assert 0 < m < b < 1, (m, b)\n"

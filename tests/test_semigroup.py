@@ -1326,6 +1326,28 @@ class TestKernelLrNorm:
         with pytest.raises(DomainError):
             lr_norm_constant(dim, r)
 
+    @pytest.mark.parametrize(
+        "dim", [2.5, 2.0, True, False, np.float64(3.0), "2", None],
+        ids=["fraction", "float", "true", "false", "numpy-float", "str", "none"],
+    )
+    def test_constants_reject_non_integer_dims(self, dim):
+        # 2.5 and True gave numbers; 2.0 and True also hit the cached
+        # entries of 2 and 1
+        for warm in (1, 2):
+            ultracontractivity_constant(warm, 1.0, 2.0)
+        with pytest.raises(DomainError):
+            lr_norm_constant(dim, 2.0)
+        with pytest.raises(DomainError):
+            ultracontractivity_constant(dim, 1.0, 2.0)
+
+    @pytest.mark.parametrize("dim", [np.int64(3), np.uint8(2), np.int32(1)], ids=["int64", "uint8", "int32"])
+    def test_constants_take_numpy_integer_dims(self, dim):
+        for p, q in ((1.0, 2.0), (1.5, 3.0)):
+            got = ultracontractivity_constant(dim, p, q)
+            assert type(got) is float and got == ultracontractivity_constant(int(dim), p, q)
+        got = lr_norm_constant(dim, 2.0)
+        assert type(got) is float and got == lr_norm_constant(int(dim), 2.0)
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 5])
     def test_constant_at_r_inf_is_the_sup_norm(self, dim):
         # sup of the heat kernel at t = 1 is (4 pi)^{-N/2}, and V(1) = omega_N
